@@ -13,22 +13,22 @@ Exit codes: 0 success, 2 configuration error, 3 fit/extraction error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
 from . import config as cfgmod
 from . import env_models, io_dynamics, ki_device, microwave_net, noise_cal, squeeze, synthetic
 from .errors import ConfigError, DomainError, FitError, KipaLabError
-from .fitkit import SweepRecord, nlls_fit
+from .fitkit import nlls_fit
 from .io_dynamics import GainCurve
 from .quantities import BOLTZMANN
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
-from .reproduce import run_fixture
+from .reproduce import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA, run_fixture
 
 log = logging.getLogger("kipa_lab")
 
@@ -44,29 +44,41 @@ def _load_config(args) -> dict:
     return cfgmod.load_json(args.config)
 
 
-def _emit(args, bundle: dict, curve: Optional[GainCurve] = None, sweep: Optional[SweepRecord] = None) -> None:
-    text = bundle_csv(bundle) if args.format == "csv" else bundle_json(bundle)
-    sys.stdout.write(text)
+def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None, sweep=None) -> int:
+    """Print the bundle of this run, which echoes the inputs and carries any
+    planted truth, and write it with the curve and sweep CSVs under --out."""
+    if truth:
+        results["truth"] = truth
+    inputs = {"config": cfg, "seed": args.seed, "synthetic": args.synthetic}
+    bundle = make_bundle(args.command, inputs, results, residuals)
+    sys.stdout.write(bundle_csv(bundle) if args.format == "csv" else bundle_json(bundle))
     if args.out:
         paths = write_bundle(bundle, args.out, args.format)
-        if curve is not None:
-            p = os.path.join(args.out, "curve.csv")
-            curve.to_csv(p)
-            paths.append(p)
-        if sweep is not None:
-            p = os.path.join(args.out, "sweep.csv")
-            sweep.to_csv(p)
-            paths.append(p)
+        for name, table in (("curve.csv", curve), ("sweep.csv", sweep)):
+            if table is not None:
+                paths.append(os.path.join(args.out, name))
+                table.to_csv(paths[-1])
         for p in paths:
             log.info("wrote %s", p)
+    return EXIT_OK
 
 
-def _inputs_echo(args, cfg: dict) -> dict:
-    return {"config": cfg, "seed": args.seed, "synthetic": bool(getattr(args, "synthetic", False))}
+def _sweep(args, cfg: dict, plant):
+    """(sweep, truth): planted by ``plant(synthetic_section, rng)`` under
+    --synthetic, else read from the config's sweep_file (relative to the
+    config file) with no truth."""
+    if args.synthetic:
+        return plant(cfg.get("synthetic", {}), np.random.default_rng(args.seed))
+    path = cfg.get("sweep_file")
+    if path is None:
+        raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
+    return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), path)), None
 
 
-def _rng(args) -> np.random.Generator:
-    return np.random.default_rng(args.seed)
+def _rows(**columns) -> list:
+    """Per-point residual rows from equal-length numeric columns."""
+    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def cmd_design(args) -> int:
@@ -77,29 +89,21 @@ def cmd_design(args) -> int:
         "q_c": microwave_net.coupling_q(sif),
         "kappa_hz": microwave_net.coupling_rate(sif),
     }
-    _emit(args, make_bundle("design", _inputs_echo(args, cfg), results))
-    return EXIT_OK
+    return _emit(args, cfg, results)
 
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
-    device = cfgmod.parse_device(cfg.get("device", cfg))
-    res = device.resonator
+    res = cfgmod.parse_device(cfg.get("device", cfg)).resonator
     results: dict = {}
     residuals = None
     if args.synthetic:
         syn = cfg.get("synthetic", {})
         currents = np.linspace(0.0, 0.9 * res.i_sw, int(syn.get("n_points", 25)))
-        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn.get("noise_frac", 1e-4), _rng(args))
+        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn.get("noise_frac", 1e-4), np.random.default_rng(args.seed))
         fit = ki_device.fit_clem_tuning(sweep, res.f_r0, res.alpha)
-        model_f = np.array([
-            res.f_r0 * ((1.0 - res.alpha) + res.alpha * (1.0 - (abs(i) / fit.params[0]) ** fit.params[1]) ** (-1.0 / fit.params[1])) ** -0.5
-            for i in sweep.x
-        ])
-        residuals = [
-            {"x": float(x), "y": float(y), "model": float(m), "residual": float(y - m)}
-            for x, y, m in zip(sweep.x, sweep.y, model_f)
-        ]
+        model_f = ki_device.clem_frequency(sweep.x, res.f_r0, res.alpha, *fit.params)
+        residuals = _rows(x=sweep.x, y=sweep.y, model=model_f, residual=sweep.y - model_f)
         results["fit"] = {
             "i_star_a": float(fit.params[0]),
             "clem_exponent": float(fit.params[1]),
@@ -110,8 +114,7 @@ def cmd_tune(args) -> int:
     current = args.current if args.current is not None else cfg.get("bias_current_a", 0.0)
     results["bias_current_a"] = current
     results["f_hz"] = float(ki_device.resonance_vs_bias(current, res))
-    _emit(args, make_bundle("tune", _inputs_echo(args, cfg), results, residuals))
-    return EXIT_OK
+    return _emit(args, cfg, results, residuals)
 
 
 def cmd_gain(args) -> int:
@@ -141,15 +144,12 @@ def cmd_gain(args) -> int:
         delta_hz = cav.delta / (2.0 * math.pi)
         xi_frac = abs(cav.xi) / (2.0 * math.pi) / (kappa_hz + gamma_hz / 2.0)
         sweep, truth = synthetic.gain_sweep(
-            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, syn.get("noise_db", 0.1), _rng(args)
+            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, syn.get("noise_db", 0.1), np.random.default_rng(args.seed)
         )
         p0 = [kappa_hz * 1.05, gamma_hz + 0.01 * kappa_hz, delta_hz + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
         fit = nlls_fit(lambda x, p: synthetic.gain_db_model(x, p, cav.f_pump), sweep, p0)
         model_y = synthetic.gain_db_model(sweep.x, fit.params, cav.f_pump)
-        residuals = [
-            {"f_hz": float(x), "gain_db": float(y), "model_db": float(m), "residual_db": float(y - m)}
-            for x, y, m in zip(sweep.x, sweep.y, model_y)
-        ]
+        residuals = _rows(f_hz=sweep.x, gain_db=sweep.y, model_db=model_y, residual_db=sweep.y - model_y)
         results["fit"] = {
             "kappa_hz": float(fit.params[0]),
             "kappa_sigma_hz": float(fit.stderr[0]),
@@ -163,179 +163,130 @@ def cmd_gain(args) -> int:
         results["kappa_recovered_within_3_sigma"] = bool(
             abs(fit.params[0] - truth["kappa_hz"]) <= 3.0 * max(fit.stderr[0], 1e-12)
         )
-    _emit(args, make_bundle("gain", _inputs_echo(args, cfg), results, residuals), curve=curve)
-    return EXIT_OK
+    return _emit(args, cfg, results, residuals, curve=curve)
 
 
 def cmd_pump_search(args) -> int:
     cfg = _load_config(args)
     m = cfg.get("map", cfg)
+    f_r = m.get("f_r_hz", REFERENCE_F_SIGNAL)
     evaluator = synthetic.pump_gain_map(
         kappa_hz=m.get("kappa_hz", 19.8e6),
         gamma_hz=m.get("gamma_hz", 0.0),
-        f_r_hz=m.get("f_r_hz", 5.6735e9),
+        f_r_hz=f_r,
         xi_hz_per_sqrt_mw=m.get("xi_hz_per_sqrt_mw", 1e9),
     )
     search = cfg.get("search", {})
     result = io_dynamics.find_optimal_pump(
         evaluator,
         target_db=search.get("target_db", 20.0),
-        f_bounds=tuple(search.get("f_bounds_hz", [2.0 * m.get("f_r_hz", 5.6735e9) - 2e8, 2.0 * m.get("f_r_hz", 5.6735e9) + 2e8])),
+        f_bounds=tuple(search.get("f_bounds_hz", [2.0 * f_r - 2e8, 2.0 * f_r + 2e8])),
         p_bounds_dbm=tuple(search.get("p_bounds_dbm", [-60.0, -40.0])),
         n_f_coarse=int(search.get("n_f_coarse", 41)),
         p_step_db=search.get("p_step_db", 0.25),
         refine_to_hz=search.get("refine_to_hz", 1e4),
     )
-    results = {
-        "success": result.success,
-        "f_pump_hz": result.f_pump_hz,
-        "p_pump_dbm": result.p_pump_dbm,
-        "gain_db": result.gain_db,
-        "self_oscillation": result.self_oscillation,
-        "n_evaluations": result.n_evaluations,
-        "message": result.message,
-    }
-    _emit(args, make_bundle("pump-search", _inputs_echo(args, cfg), results))
+    code = _emit(args, cfg, dataclasses.asdict(result))
     if not result.success:
         log.warning("pump search failed: %s", result.message)
-    return EXIT_OK
+    return code
 
 
 def cmd_compression(args) -> int:
     cfg = _load_config(args)
     ssg = cfg.get("small_signal_gain_db", 21.0)
-    truth = None
-    if args.synthetic:
-        syn = cfg.get("synthetic", {})
+
+    def plant(syn, rng):
         grid = np.linspace(syn.get("p_min_dbm", -110.0), syn.get("p_max_dbm", -70.0), int(syn.get("n_points", 161)))
-        sweep, truth = synthetic.compression_sweep(
-            ssg, syn.get("p_mid_dbm", -83.0), syn.get("softness_db", 1.5), syn.get("depth_db", 6.0), grid, syn.get("noise_db", 0.0), _rng(args)
+        return synthetic.compression_sweep(
+            ssg, syn.get("p_mid_dbm", -83.0), syn.get("softness_db", 1.5), syn.get("depth_db", 6.0), grid, syn.get("noise_db", 0.0), rng
         )
-    else:
-        sweep = cfgmod.read_sweep(_sweep_path(cfg, args))
+
+    sweep, truth = _sweep(args, cfg, plant)
     point = io_dynamics.compression_point(sweep, ssg)
-    results = {
-        "small_signal_gain_db": ssg,
-        "p_in_1db_dbm": point.p_in_1db_dbm,
-        "p_out_sat_dbm": point.p_out_sat_dbm,
-    }
-    if truth:
-        results["truth"] = truth
-    _emit(args, make_bundle("compression", _inputs_echo(args, cfg), results), sweep=sweep)
-    return EXIT_OK
-
-
-def _sweep_path(cfg: dict, args) -> str:
-    path = cfg.get("sweep_file")
-    if path is None:
-        raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
-    base = os.path.dirname(args.config) if args.config else "."
-    return os.path.join(base, path)
+    return _emit(args, cfg, {"small_signal_gain_db": ssg, **point._asdict()}, truth=truth, sweep=sweep)
 
 
 def cmd_noise_fit(args) -> int:
     cfg = _load_config(args)
     chain = cfgmod.parse_chain(cfg.get("chain", cfg))
-    truth = None
-    if args.synthetic:
-        syn = cfg.get("synthetic", {})
-        sweep, truth = synthetic.noise_sweep(
+
+    def plant(syn, rng):
+        return synthetic.noise_sweep(
             chain,
-            syn.get("t_kipa_k", 0.286),
-            syn.get("f_signal_hz", 5.6735e9),
-            syn.get("f_idler_hz", 5.6735e9),
+            syn.get("t_kipa_k", REFERENCE_T_KIPA),
+            syn.get("f_signal_hz", REFERENCE_F_SIGNAL),
+            syn.get("f_idler_hz", REFERENCE_F_SIGNAL),
             syn.get("t_vts_k", synthetic.vts_setpoint_ladder()),
             syn.get("noise_frac", 0.0),
-            _rng(args),
+            rng,
         )
-    else:
-        sweep = cfgmod.read_sweep(_sweep_path(cfg, args))
+
+    sweep, truth = _sweep(args, cfg, plant)
     fit = noise_cal.fit_added_noise(sweep, chain, free_slope=bool(cfg.get("free_slope", False)))
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     y_model = sweep.x + fit.t_add + chain.t_bkg / (chain.g_hemt * chain.g)
     scale = chain.g_tot * BOLTZMANN * chain.bandwidth
-    residuals = [
-        {"t_in_k": float(x), "p_out_w": float(y), "residual_k": float(y / scale - m)}
-        for x, y, m in zip(sweep.x, sweep.y, y_model)
-    ]
-    results = {
-        "t_add_k": fit.t_add,
-        "t_add_sigma_k": fit.t_add_sigma,
-        "t_kipa_k": t_kipa,
-        "slope": fit.slope,
-    }
-    if truth:
-        results["truth"] = truth
-    _emit(args, make_bundle("noise-fit", _inputs_echo(args, cfg), results, residuals), sweep=sweep)
-    return EXIT_OK
+    residuals = _rows(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=sweep.y / scale - y_model)
+    results = {"t_add_k": fit.t_add, "t_add_sigma_k": fit.t_add_sigma, "t_kipa_k": t_kipa, "slope": fit.slope}
+    return _emit(args, cfg, results, residuals, truth=truth, sweep=sweep)
 
 
 def cmd_hemt_fit(args) -> int:
     cfg = _load_config(args)
     chain = cfgmod.parse_chain(cfg.get("chain", cfg))
-    f_signal = cfg.get("f_signal_hz", 5.6735e9)
-    truth = None
-    if args.synthetic:
-        syn = cfg.get("synthetic", {})
-        sweep, truth = synthetic.hemt_sweep(
-            chain, f_signal, syn.get("t_vts_k", synthetic.vts_setpoint_ladder(0.1, 3.0)), syn.get("noise_frac", 0.0), _rng(args)
-        )
-    else:
-        sweep = cfgmod.read_sweep(_sweep_path(cfg, args))
+    f_signal = cfg.get("f_signal_hz", REFERENCE_F_SIGNAL)
+
+    def plant(syn, rng):
+        ladder = syn.get("t_vts_k", synthetic.vts_setpoint_ladder(0.1, 3.0))
+        return synthetic.hemt_sweep(chain, f_signal, ladder, syn.get("noise_frac", 0.0), rng)
+
+    sweep, truth = _sweep(args, cfg, plant)
     fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, free_slope=bool(cfg.get("free_slope", False)))
     results = {"t_hemt_k": fit.t_hemt, "t_hemt_sigma_k": fit.t_hemt_sigma, "slope": fit.slope}
-    if truth:
-        results["truth"] = truth
-    _emit(args, make_bundle("hemt-fit", _inputs_echo(args, cfg), results), sweep=sweep)
-    return EXIT_OK
+    return _emit(args, cfg, results, truth=truth, sweep=sweep)
 
 
 def cmd_chain_propagate(args) -> int:
     cfg = _load_config(args)
     chain = cfgmod.parse_chain(cfg.get("chain", cfg))
     n_in = cfg.get("n_in_photons", 0.5)
-    f_hz = cfg.get("f_hz", 5.6735e9)
+    f_hz = cfg.get("f_hz", REFERENCE_F_SIGNAL)
     trace = noise_cal.propagate_chain(n_in, chain.elements, f_hz)
     residuals = [
         {"index": i, "label": e.label, "value_db": e.value_db, "temperature_k": e.physical_temperature, "n_photons": n}
         for i, (e, n) in enumerate(zip(chain.elements, trace))
     ]
     results = {"n_in_photons": n_in, "f_hz": f_hz, "n_out_photons": trace[-1] if trace else n_in}
-    _emit(args, make_bundle("chain-propagate", _inputs_echo(args, cfg), results, residuals))
-    return EXIT_OK
+    return _emit(args, cfg, results, residuals)
 
 
 def cmd_squeeze(args) -> int:
     cfg = _load_config(args)
     budget = cfgmod.parse_budget(cfg.get("budget", cfg))
-    s_min = squeeze.max_measurable_squeezing(budget)
-    results = {"s_min": s_min}
+    results = {"s_min": squeeze.max_measurable_squeezing(budget)}
     g_x_db = args.gx_db if args.gx_db is not None else cfg.get("g_x_db")
     s_measured = args.s if args.s is not None else cfg.get("s_measured")
     if g_x_db is not None:
-        g_x = 10.0 ** (g_x_db / 10.0)
         results["g_x_db"] = g_x_db
-        results["s"] = squeeze.squeezing_factor(g_x, budget)
+        results["s"] = squeeze.squeezing_factor(10.0 ** (g_x_db / 10.0), budget)
     elif s_measured is not None:
-        g_x = squeeze.extract_gx(s_measured, budget)
         results["s"] = s_measured
-        results["g_x_db"] = 10.0 * math.log10(g_x)
+        results["g_x_db"] = 10.0 * math.log10(squeeze.extract_gx(s_measured, budget))
     else:
         raise ConfigError("squeeze needs g_x_db or s_measured (config key or --gx-db/--s)")
-    _emit(args, make_bundle("squeeze", _inputs_echo(args, cfg), results))
-    return EXIT_OK
+    return _emit(args, cfg, results)
 
 
 def cmd_field_shift(args) -> int:
     cfg = _load_config(args)
     model = cfgmod.parse_field_model(cfg.get("field_model", cfg))
-    truth = None
-    if args.synthetic:
-        syn = cfg.get("synthetic", {})
+
+    def plant(syn, rng):
         b = np.linspace(syn.get("b_min_t", 0.0), syn.get("b_max_t", 6.0), int(syn.get("n_points", 13)))
-        sweep, truth = synthetic.field_shift_sweep(model, b, syn.get("noise_abs", 0.0), _rng(args))
-    else:
-        sweep = cfgmod.read_sweep(_sweep_path(cfg, args))
+        return synthetic.field_shift_sweep(model, b, syn.get("noise_abs", 0.0), rng)
+
+    sweep, truth = _sweep(args, cfg, plant)
     fit = env_models.fit_field_shift(
         sweep, model, estimate_theta=bool(cfg.get("estimate_theta", True)), bc_criterion=cfg.get("bc_criterion")
     )
@@ -347,30 +298,24 @@ def cmd_field_shift(args) -> int:
         "b_c_estimate_t": fit.b_c_estimate,
         "reduced_chi2": fit.reduced_chi2,
     }
-    if truth:
-        results["truth"] = truth
-    _emit(args, make_bundle("field-shift", _inputs_echo(args, cfg), results), sweep=sweep)
-    return EXIT_OK
+    return _emit(args, cfg, results, truth=truth, sweep=sweep)
 
 
 def cmd_temp_shift(args) -> int:
     cfg = _load_config(args)
     model = cfgmod.parse_temp_model(cfg.get("temp_model", cfg))
-    f_r = cfg.get("f_r_hz", 5.6735e9)
-    grid = cfg.get("temperatures_k", list(np.linspace(0.05, 0.4 * model.t_c, 36)))
+    f_r = cfg.get("f_r_hz", REFERENCE_F_SIGNAL)
     rows = []
-    for t in grid:
+    for t in cfg.get("temperatures_k", np.linspace(0.05, 0.4 * model.t_c, 36)):
         rel = env_models.temp_frequency_shift(float(t), f_r, model)
         rows.append({"t_k": float(t), "rel_shift": rel, "delta_f_hz": rel * f_r})
-    results = {"f_r_hz": f_r, "n_points": len(rows)}
-    _emit(args, make_bundle("temp-shift", _inputs_echo(args, cfg), results, rows))
-    return EXIT_OK
+    return _emit(args, cfg, {"f_r_hz": f_r, "n_points": len(rows)}, rows)
 
 
 def cmd_device_temp(args) -> int:
     cfg = _load_config(args)
     model = cfgmod.parse_temp_model(cfg.get("temp_model", cfg))
-    f_r = cfg.get("f_r_hz", 5.6735e9)
+    f_r = cfg.get("f_r_hz", REFERENCE_F_SIGNAL)
     if "delta_omega_rel" in cfg:
         rel = cfg["delta_omega_rel"]
     elif "delta_f_hz" in cfg:
@@ -378,8 +323,7 @@ def cmd_device_temp(args) -> int:
     else:
         raise ConfigError("device-temp needs delta_omega_rel or delta_f_hz")
     t = env_models.device_temp_from_shift(rel, f_r, model, t_min=cfg.get("t_min_k", 0.02), t_max=cfg.get("t_max_k"))
-    _emit(args, make_bundle("device-temp", _inputs_echo(args, cfg), {"t_dev_k": t, "rel_shift": rel}))
-    return EXIT_OK
+    return _emit(args, cfg, {"t_dev_k": t, "rel_shift": rel})
 
 
 def cmd_reproduce(args) -> int:
@@ -387,24 +331,9 @@ def cmd_reproduce(args) -> int:
     all_pass = all(r.passed for r in results)
     for r in results:
         print(r.line())
-    bundle = make_bundle(
-        "reproduce",
-        {"fixture": args.fixture, "seed": args.seed},
-        {
-            "all_passed": all_pass,
-            "checks": [
-                {
-                    "fixture": r.fixture,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "expected": r.expected,
-                    "tolerance": r.tolerance,
-                    "description": r.description,
-                }
-                for r in results
-            ],
-        },
-    )
+    fields = ("fixture", "passed", "measured", "expected", "tolerance", "description")
+    checks = [{k: getattr(r, k) for k in fields} for r in results]
+    bundle = make_bundle("reproduce", {"fixture": args.fixture, "seed": args.seed}, {"all_passed": all_pass, "checks": checks})
     if args.out:
         write_bundle(bundle, args.out, args.format)
     return EXIT_OK if all_pass else 1
@@ -439,9 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
         "field-shift": (cmd_field_shift, "parallel-field frequency-shift fit"),
         "temp-shift": (cmd_temp_shift, "temperature-dependent frequency shift curve"),
         "device-temp": (cmd_device_temp, "device temperature from a measured shift"),
+        "reproduce": (cmd_reproduce, "run a built-in published-value check"),
     }
     for name, (fn, helptext) in handlers.items():
         p = sub.add_parser(name, help=helptext)
+        if name == "reproduce":
+            p.add_argument("fixture", help="fixture id or 'all'")
         _add_common(p)
         p.set_defaults(handler=fn)
         if name == "tune":
@@ -449,11 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "squeeze":
             p.add_argument("--gx-db", dest="gx_db", type=float, help="quadrature gain in dB")
             p.add_argument("--s", type=float, help="measured squeezing factor")
-
-    p = sub.add_parser("reproduce", help="run a built-in published-value check")
-    p.add_argument("fixture", help="fixture id or 'all'")
-    _add_common(p)
-    p.set_defaults(handler=cmd_reproduce)
     return parser
 
 

@@ -2,8 +2,8 @@
 budgets and models, plus the canonical config hash.
 
 All dB fields end in ``_db`` (power convention), SI fields carry their unit
-as a suffix.  Nested documents may be inlined or referenced by path through
-``"<section>_file"`` keys.
+as a suffix.  Nested documents are inlined; measured sweeps are CSV files
+named by a ``sweep_file`` key, relative to the config file.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from typing import Optional
 
 from .env_models import FieldModel, TempModel
 from .errors import ConfigError, DomainError
@@ -45,16 +43,6 @@ def _get(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"missing field {key!r} in {where}")
     return d[key]
-
-
-def _section(cfg: dict, name: str, base_dir: str = ".") -> dict:
-    """Resolve an inline section or a '<name>_file' reference."""
-    if name in cfg:
-        return cfg[name]
-    ref = cfg.get(f"{name}_file")
-    if ref is not None:
-        return load_json(os.path.join(base_dir, ref))
-    raise ConfigError(f"config needs a {name!r} section or a {name}_file reference")
 
 
 def parse_film(d: dict) -> FilmParams:
@@ -211,9 +199,3 @@ def read_sweep(path) -> SweepRecord:
     except OSError as exc:
         raise ConfigError(f"cannot read sweep {path}: {exc}") from exc
 
-
-def sections(cfg: dict, config_path: Optional[str]) -> tuple[dict, str]:
-    """Return (cfg, base_dir) with file references resolved relative to the
-    config location."""
-    base = os.path.dirname(config_path) if config_path else "."
-    return cfg, base

@@ -286,6 +286,11 @@ def _shift_absolute(t: float, f_r: float, model: TempModel) -> float:
     return tls - quartic
 
 
+def _shift_reference(f_r: float, model: TempModel) -> float:
+    """Absolute shift at the model's t_ref anchor; 0 for the T -> 0 anchor."""
+    return _shift_absolute(model.t_ref, f_r, model) if model.t_ref > 0.0 else 0.0
+
+
 def temp_frequency_shift(t: float, f_r: float, model: TempModel) -> float:
     """Relative frequency shift d_omega/omega at device temperature t (K).
 
@@ -305,8 +310,7 @@ def temp_frequency_shift(t: float, f_r: float, model: TempModel) -> float:
             PhysicsWarning,
             stacklevel=2,
         )
-    ref = _shift_absolute(model.t_ref, f_r, model) if model.t_ref > 0.0 else 0.0
-    return _shift_absolute(t, f_r, model) - ref
+    return _shift_absolute(t, f_r, model) - _shift_reference(f_r, model)
 
 
 def device_temp_from_shift(
@@ -327,10 +331,10 @@ def device_temp_from_shift(
         raise DomainError("need 0 < t_min < t_max")
     model.warn_if_nonmonotone(f_r, t_min, t_max)
 
+    ref = _shift_reference(f_r, model)
+
     def f(t):
-        return _shift_absolute(t, f_r, model) - (
-            _shift_absolute(model.t_ref, f_r, model) if model.t_ref > 0.0 else 0.0
-        ) - delta_omega_rel
+        return _shift_absolute(t, f_r, model) - ref - delta_omega_rel
 
     f_lo, f_hi = f(t_min), f(t_max)
     if f_lo == 0.0:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FitError, RankError
+from .errors import ConfigError, FitError, RankError
 
 
 @dataclass
@@ -54,28 +54,43 @@ class SweepRecord:
         return 1.0 / self.sigma_y**2
 
     def to_csv(self, path) -> None:
+        sigma = [""] * len(self) if self.sigma_y is None else self.sigma_y.tolist()
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "sigma_y"])
-            for i in range(len(self)):
-                s = "" if self.sigma_y is None else repr(float(self.sigma_y[i]))
-                w.writerow([repr(float(self.x[i])), repr(float(self.y[i])), s])
+            write_csv(fh, ["x", "y", "sigma_y"], zip(self.x.tolist(), self.y.tolist(), sigma))
 
     @classmethod
     def from_csv(cls, path) -> "SweepRecord":
+        """Read x,y[,sigma_y] rows; an optional header and '#' comment lines
+        are skipped.  A short or non-numeric row raises ConfigError naming
+        the file and line."""
         xs, ys, ss = [], [], []
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
         if not rows:
             raise FitError(f"empty sweep file {path}")
-        start = 1 if not _is_number(rows[0][0]) else 0  # optional header
-        for r in rows[start:]:
-            xs.append(float(r[0]))
-            ys.append(float(r[1]))
-            if len(r) > 2 and r[2].strip():
-                ss.append(float(r[2]))
+        start = 1 if not _is_number(rows[0][1][0]) else 0  # optional header
+        for line, r in rows[start:]:
+            try:
+                xs.append(float(r[0]))
+                ys.append(float(r[1]))
+                if len(r) > 2 and r[2].strip():
+                    ss.append(float(r[2]))
+            except (IndexError, ValueError):
+                raise ConfigError(f"sweep {path} line {line}: expected numeric x,y[,sigma_y], got {','.join(r)!r}") from None
         sigma = np.array(ss) if len(ss) == len(xs) and ss else None
         return cls(np.array(xs), np.array(ys), sigma, meta={"source": str(path)})
+
+
+def write_csv(fh, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV to an open text stream.
+
+    Every CSV file and CSV report of the package goes through here.  Python
+    floats are written as their shortest round-trip repr.
+    """
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def _is_number(s: str) -> bool:

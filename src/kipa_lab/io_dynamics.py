@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ExtractionError, SingularityError
-from .fitkit import SweepRecord
+from .fitkit import SweepRecord, write_csv
 
 _POLE_GUARD = 1e-12
 
@@ -162,18 +162,10 @@ class GainCurve:
         return cls.from_gains(f_hz, signal_gain(cav, np.asarray(f_hz, dtype=float), allow_unstable))
 
     def to_csv(self, path) -> None:
+        g = self.complex_gain
+        rows = zip(self.f_hz.tolist(), g.real.tolist(), g.imag.tolist(), self.power_gain_db.tolist())
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["f_hz", "re_g", "im_g", "gain_db"])
-            for i in range(self.f_hz.size):
-                w.writerow(
-                    [
-                        repr(float(self.f_hz[i])),
-                        repr(float(self.complex_gain[i].real)),
-                        repr(float(self.complex_gain[i].imag)),
-                        repr(float(self.power_gain_db[i])),
-                    ]
-                )
+            write_csv(fh, ["f_hz", "re_g", "im_g", "gain_db"], rows)
 
     @classmethod
     def from_csv(cls, path) -> "GainCurve":
@@ -372,13 +364,14 @@ class PumpSearchResult:
     """Outcome of the optimal-pump search.
 
     On success the point is the lowest-power pump setting reaching the
-    target gain; on failure it is the best point seen.
+    target gain; on failure it is the best point seen, all None when no
+    evaluation was finite.
     """
 
     success: bool
     f_pump_hz: Optional[float]
     p_pump_dbm: Optional[float]
-    gain_db: float
+    gain_db: Optional[float]
     self_oscillation: bool
     n_evaluations: int
     message: str = ""
@@ -438,7 +431,7 @@ def find_optimal_pump(
             success=False,
             f_pump_hz=f_best,
             p_pump_dbm=p_best,
-            gain_db=g_best,
+            gain_db=None if f_best is None else g_best,
             self_oscillation=state["osc"],
             n_evaluations=state["n"],
             message="target gain not reached inside the search rectangle",

@@ -98,33 +98,47 @@ def _check_switching(i_dc: float, res: ResonatorParams) -> None:
         )
 
 
-def kinetic_inductance_ratio(current: float, res: ResonatorParams):
-    """L_k(I) / L_k(0) = [1 - (|I|/I*)^n]^(-1/n).
+def clem_ratio(current, i_star: float, n: float):
+    """Clem relation L_k(I) / L_k(0) = [1 - (|I|/I*)^n]^(-1/n), unchecked.
 
-    Even in I, equal to 1 at zero current, divergent as |I| -> I*.
-    Accepts scalars or arrays.
+    Even in I, equal to 1 at zero current, divergent as |I| -> I*.  A scalar
+    current is evaluated in numpy scalar arithmetic and an array elementwise;
+    the two may differ in the last bit, so a caller that needs reproducible
+    output keeps the form it has.
     """
-    i = np.abs(np.asarray(current, dtype=float))
-    if np.any(i >= res.i_star):
+    return (1.0 - (np.abs(current) / i_star) ** n) ** (-1.0 / n)
+
+
+def clem_frequency(current, f_r0: float, alpha: float, i_star: float, n: float):
+    """Tuning law f(I) = f_r0 * [(1-alpha) + alpha*r(I)]^(-1/2) in Hz, unchecked.
+
+    Only the kinetic part (fraction alpha) of the total inductance scales
+    with the Clem ratio r.  Accepts scalars or arrays.
+    """
+    return f_r0 * ((1.0 - alpha) + alpha * clem_ratio(current, i_star, n)) ** -0.5
+
+
+def _check_below_critical(current, res: ResonatorParams) -> None:
+    if np.any(np.abs(np.asarray(current, dtype=float)) >= res.i_star):
         raise DomainError(
             f"kinetic inductance diverges at the critical current I* = {res.i_star:.4e} A"
         )
-    n = res.clem_exponent
-    out = (1.0 - (i / res.i_star) ** n) ** (-1.0 / n)
+
+
+def kinetic_inductance_ratio(current: float, res: ResonatorParams):
+    """Clem ratio L_k(I) / L_k(0) of the resonator; scalars or arrays."""
+    _check_below_critical(current, res)
+    out = clem_ratio(np.asarray(current, dtype=float), res.i_star, res.clem_exponent)
     return float(out) if np.isscalar(current) else out
 
 
 def resonance_vs_bias(i_dc: float, res: ResonatorParams):
-    """Resonant frequency in Hz at a dc bias current.
-
-    Only the kinetic part (fraction alpha) of the total inductance scales
-    with the Clem ratio: f(I) = f_r0 * [(1-alpha) + alpha*r(I)]^(-1/2).
-    """
+    """Resonant frequency in Hz at a dc bias current (the Clem tuning law)."""
     if res.f_r0 <= 0.0:
         raise DomainError("resonator f_r0 must be set for frequency tuning")
     _check_switching(np.max(np.abs(np.asarray(i_dc))), res)
-    r = kinetic_inductance_ratio(i_dc, res)
-    return res.f_r0 * ((1.0 - res.alpha) + res.alpha * r) ** -0.5
+    _check_below_critical(i_dc, res)
+    return clem_frequency(i_dc, res.f_r0, res.alpha, res.i_star, res.clem_exponent)
 
 
 def self_kerr(res: ResonatorParams, f_r: float) -> float:
@@ -187,11 +201,6 @@ def fit_clem_tuning(
     if p0 is None:
         p0 = [3.0 * float(np.max(np.abs(data.x))), clem_exponent_guess]
 
-    def model(i, p):
-        i_star, n = p
-        r = (1.0 - (np.abs(i) / i_star) ** n) ** (-1.0 / n)
-        return f_r0 * ((1.0 - alpha) + alpha * r) ** -0.5
-
     i_max = float(np.max(np.abs(data.x)))
     bounds = (np.array([i_max * 1.0000001, 0.1]), np.array([i_max * 1e3, 10.0]))
-    return nlls_fit(model, data, p0, bounds=bounds)
+    return nlls_fit(lambda i, p: clem_frequency(i, f_r0, alpha, p[0], p[1]), data, p0, bounds=bounds)

@@ -17,7 +17,6 @@ independent of the scipy version installed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -28,64 +27,6 @@ BOLTZMANN = 1.380649e-23  # J / K
 E_CHARGE = 1.602176634e-19  # C
 MU_0 = 1.25663706212e-6  # H / m
 EULER_GAMMA = 0.5772156649015329
-
-
-@dataclass(frozen=True)
-class PhysConsts:
-    """Bundle of the constants above, convenient for passing around."""
-
-    hbar: float = HBAR
-    h: float = PLANCK
-    k_B: float = BOLTZMANN
-    e_charge: float = E_CHARGE
-    mu_0: float = MU_0
-    euler_gamma: float = EULER_GAMMA
-
-
-CODATA2018 = PhysConsts()
-
-
-@dataclass(frozen=True)
-class Frequency:
-    """An ordinary frequency in Hz for a physical carrier (strictly positive).
-
-    The ``omega`` accessor is the only sanctioned f -> angular conversion.
-    """
-
-    hz: float
-
-    def __post_init__(self):
-        if not self.hz > 0.0:
-            raise DomainError(f"carrier frequency must be positive, got {self.hz} Hz")
-
-    @property
-    def omega(self) -> float:
-        """Angular frequency in rad/s."""
-        return 2.0 * math.pi * self.hz
-
-    @classmethod
-    def from_omega(cls, omega: float) -> "Frequency":
-        return cls(omega / (2.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class DecibelPower:
-    """A power ratio expressed in dB."""
-
-    db: float
-
-    @property
-    def linear(self) -> float:
-        return db_to_linear(self.db)
-
-    @classmethod
-    def from_linear(cls, ratio: float) -> "DecibelPower":
-        return cls(linear_to_db(ratio))
-
-
-def _hz(f) -> float:
-    """Accept a float in Hz or a Frequency."""
-    return f.hz if isinstance(f, Frequency) else float(f)
 
 
 def db_to_linear(db: float) -> float:
@@ -100,7 +41,7 @@ def linear_to_db(ratio: float) -> float:
 
 def bose_einstein_occupation(temperature_k: float, f) -> float:
     """Average photon number 1/[exp(h f / k_B T) - 1] of a thermal mode."""
-    f_hz = _hz(f)
+    f_hz = float(f)
     if temperature_k < 0.0 or f_hz <= 0.0:
         raise DomainError("Bose-Einstein occupation needs T >= 0 and f > 0")
     if temperature_k == 0.0:
@@ -118,7 +59,7 @@ def photon_temperature_equivalent(temperature_k: float, f, mode: str = "linear")
     5.67 GHz is about one photon.  mode="bose-einstein" returns the thermal
     occupation of the mode instead.
     """
-    f_hz = _hz(f)
+    f_hz = float(f)
     if temperature_k < 0.0:
         raise DomainError(f"temperature must be non-negative, got {temperature_k} K")
     if f_hz <= 0.0:
@@ -132,7 +73,7 @@ def photon_temperature_equivalent(temperature_k: float, f, mode: str = "linear")
 
 def temperature_from_photons(photons: float, f) -> float:
     """Inverse of the linear convention: T = n*h*f/k_B."""
-    f_hz = _hz(f)
+    f_hz = float(f)
     if photons < 0.0 or f_hz <= 0.0:
         raise DomainError("need photons >= 0 and f > 0")
     return photons * PLANCK * f_hz / BOLTZMANN
@@ -140,7 +81,7 @@ def temperature_from_photons(photons: float, f) -> float:
 
 def quantum_limit_temperature(f) -> float:
     """Temperature equivalent of half a photon, h*f/(2*k_B)."""
-    f_hz = _hz(f)
+    f_hz = float(f)
     if f_hz <= 0.0:
         raise DomainError(f"frequency must be positive, got {f_hz} Hz")
     return PLANCK * f_hz / (2.0 * BOLTZMANN)

@@ -8,7 +8,6 @@ byte-identical result document.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -16,6 +15,7 @@ from typing import Optional
 
 from . import __version__
 from .config import config_hash
+from .fitkit import write_csv
 
 
 def make_bundle(command: str, inputs: dict, results: dict, residuals: Optional[list] = None) -> dict:
@@ -49,9 +49,7 @@ def bundle_csv(bundle: dict) -> str:
     rows: list = []
     _flatten("", bundle.get("results", {}), rows)
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["key", "value"])
-    w.writerows(rows)
+    write_csv(buf, ["key", "value"], rows)
     return buf.getvalue()
 
 
@@ -72,8 +70,6 @@ def write_bundle(bundle: dict, out_dir: str, fmt: str = "json") -> list[str]:
         res_path = os.path.join(out_dir, "residuals.csv")
         keys = list(bundle["residuals"][0].keys())
         with open(res_path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys)
-            w.writeheader()
-            w.writerows(bundle["residuals"])
+            write_csv(fh, keys, ([row[k] for k in keys] for row in bundle["residuals"]))
         paths.append(res_path)
     return paths

@@ -9,11 +9,11 @@ measurement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
+from .io_dynamics import n_kappa2_term
 
 #: Vacuum quadrature variance <X^2> for the a = X + iY convention used here.
 VACUUM_VARIANCE = 0.25
@@ -56,13 +56,6 @@ class SqueezeBudget:
         return 1.0 if self.g_h is None else (self.g_h - 1.0) / self.g_h
 
 
-def _n_kappa2(g_x: float, budget: SqueezeBudget) -> float:
-    if budget.n_kappa2 is not None:
-        return budget.n_kappa2
-    s = math.sqrt(g_x)
-    return (s - 1.0) / (s + 1.0) * VACUUM_VARIANCE
-
-
 def squeezing_factor(g_x: float, budget: SqueezeBudget) -> float:
     """Measured squeezing factor S for a given quadrature gain G_X.
 
@@ -79,9 +72,10 @@ def squeezing_factor(g_x: float, budget: SqueezeBudget) -> float:
     v = VACUUM_VARIANCE
     c = budget.hemt_prefactor
     loss_term = (1.0 - budget.eta) * (v + budget.n_eta / 2.0)
+    n_k2 = n_kappa2_term(g_x, v) if budget.n_kappa2 is None else budget.n_kappa2
     num = (
         g_x * budget.eta * v
-        + (g_x - 1.0) * budget.eta * _n_kappa2(g_x, budget)
+        + (g_x - 1.0) * budget.eta * n_k2
         + g_x * budget.eta * budget.n_gamma
         + loss_term
         + c * budget.n_h

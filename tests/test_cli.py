@@ -221,6 +221,37 @@ def test_compression_flat_sweep_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text, line", [("x,y\n1,2\n3\n", 3), ("x,y\n1,abc\n", 2)], ids=["short-row", "non-numeric-cell"]
+)
+def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
+    (tmp_path / "bad.csv").write_text(text)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"small_signal_gain_db": 21.0, "sweep_file": "bad.csv"}))
+    code = cli.main(["compression", "--config", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert str(tmp_path / "bad.csv") in err[0] and f"line {line}" in err[0]
+
+
+def test_pump_search_failure_prints_strict_json(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "pump_search.json").read_text())
+    doc["search"]["p_bounds_dbm"] = [-30, -20]
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps(doc))
+    code, out = run(capsys, "pump-search", "--config", str(cfg))
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    res = json.loads(out, parse_constant=reject)["results"]
+    assert code == 0
+    assert res["success"] is False
+    assert res["gain_db"] is None
+    assert res["self_oscillation"]
+
+
 def test_pump_search(capsys):
     code, doc = run_json(capsys, "pump-search", "--config", str(CONFIGS / "pump_search.json"))
     assert code == 0
