@@ -125,17 +125,19 @@ def cmd_gain(args) -> int:
     span = grid.get("span_hz", 20.0 * cav.kappa / (2.0 * math.pi))
     n = int(grid.get("n_points", 2001))
     f = np.linspace(center - span / 2.0, center + span / 2.0, n)
-    curve = GainCurve.from_cavity(cav, f, allow_unstable=True)
-    i_pk = int(np.argmax(curve.power_gain_db))
-    results = {
-        "stable": cav.is_stable,
-        "peak_gain_db": float(curve.power_gain_db[i_pk]),
-        "peak_f_hz": float(curve.f_hz[i_pk]),
-    }
-    try:
-        results["gbp_hz"] = io_dynamics.gbp_extract(curve)
-    except FitError:
-        results["gbp_hz"] = None
+    results = {"stable": cav.is_stable, "peak_gain_db": None, "peak_f_hz": None, "gbp_hz": None}
+    curve = None
+    if cav.is_stable:
+        curve = GainCurve.from_cavity(cav, f)
+        i_pk = int(np.argmax(curve.power_gain_db))
+        results["peak_gain_db"] = float(curve.power_gain_db[i_pk])
+        results["peak_f_hz"] = float(curve.f_hz[i_pk])
+        try:
+            results["gbp_hz"] = io_dynamics.gbp_extract(curve)
+        except FitError:
+            pass
+    else:
+        results["status"] = "no steady state: |xi|^2 >= kappa_bar^2 + Delta^2, so the gain has no peak or bandwidth"
     residuals = None
     if args.synthetic:
         syn = cfg.get("synthetic", {})
@@ -170,7 +172,7 @@ def cmd_pump_search(args) -> int:
     cfg = _load_config(args)
     m = cfg.get("map", cfg)
     f_r = m.get("f_r_hz", REFERENCE_F_SIGNAL)
-    evaluator = synthetic.pump_gain_map(
+    law = synthetic.PumpMap(
         kappa_hz=m.get("kappa_hz", 19.8e6),
         gamma_hz=m.get("gamma_hz", 0.0),
         f_r_hz=f_r,
@@ -178,7 +180,7 @@ def cmd_pump_search(args) -> int:
     )
     search = cfg.get("search", {})
     result = io_dynamics.find_optimal_pump(
-        evaluator,
+        law.peak_gain_db,
         target_db=search.get("target_db", 20.0),
         f_bounds=tuple(search.get("f_bounds_hz", [2.0 * f_r - 2e8, 2.0 * f_r + 2e8])),
         p_bounds_dbm=tuple(search.get("p_bounds_dbm", [-60.0, -40.0])),

@@ -61,24 +61,29 @@ class SweepRecord:
     @classmethod
     def from_csv(cls, path) -> "SweepRecord":
         """Read x,y[,sigma_y] rows; an optional header and '#' comment lines
-        are skipped.  A short or non-numeric row raises ConfigError naming
-        the file and line."""
-        xs, ys, ss = [], [], []
+        are skipped.  A file without data rows, a short or non-numeric row,
+        or a sigma_y left blank on some rows but not all raises ConfigError
+        naming the file (and the line)."""
+        xs, ys, ss, blank = [], [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
-        if not rows:
-            raise FitError(f"empty sweep file {path}")
-        start = 1 if not _is_number(rows[0][1][0]) else 0  # optional header
+        start = 1 if rows and not _is_number(rows[0][1][0]) else 0  # optional header
         for line, r in rows[start:]:
             try:
                 xs.append(float(r[0]))
                 ys.append(float(r[1]))
                 if len(r) > 2 and r[2].strip():
                     ss.append(float(r[2]))
+                else:
+                    blank.append(line)
             except (IndexError, ValueError):
                 raise ConfigError(f"sweep {path} line {line}: expected numeric x,y[,sigma_y], got {','.join(r)!r}") from None
-        sigma = np.array(ss) if len(ss) == len(xs) and ss else None
+        if not xs:
+            raise ConfigError(f"empty sweep file {path}: no data rows")
+        if ss and blank:
+            raise ConfigError(f"sweep {path} line {blank[0]}: sigma_y is blank here but given on other rows")
+        sigma = np.array(ss) if ss else None
         return cls(np.array(xs), np.array(ys), sigma, meta={"source": str(path)})
 
 

@@ -14,8 +14,11 @@ Conventions
 * The pump phase enters through the complex pump strength xi.  With
   arg(xi) = -pi/2 the X quadrature at band center is the deamplified
   (squeezed) one; that alignment is assumed by the variance helpers.
-* |xi| >= kappa_bar is the self-oscillation regime.  It is representable
-  (a flag, not a hard error) so searches can report it.
+* The drift matrix of (a, a^dagger) in the pump frame has eigenvalues
+  -kappa_bar +- sqrt(|xi|^2 - Delta^2), so the cavity has a steady state
+  only for |xi|^2 < kappa_bar^2 + Delta^2 (Wustmann & Shumeiko, PRB 87,
+  184501, 2013).  Beyond that is the self-oscillation regime.  It is
+  representable (a flag, not a hard error) so searches can report it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,17 @@ from .errors import DomainError, ExtractionError, SingularityError
 from .fitkit import SweepRecord, write_csv
 
 _POLE_GUARD = 1e-12
+
+# Newton steps of peak_gain_db.  On a dense grid of |Delta| up to 1e6 kappa_bar
+# and |xi| up to 1 - 1e-9 of the threshold, 10 reach the peak to 1e-12 dB; the
+# rest is margin.
+_NEWTON_STEPS = 16
+
+
+def drift_stable(kappa_bar, delta, xi_abs):
+    """Where both drift-matrix eigenvalues -kappa_bar +- sqrt(|xi|^2 - Delta^2)
+    decay, i.e. |xi|^2 < kappa_bar^2 + Delta^2; elementwise on arrays."""
+    return np.square(xi_abs) < np.square(kappa_bar) + np.square(delta)
 
 
 @dataclass(frozen=True)
@@ -61,7 +75,7 @@ class PumpedCavity:
 
     @property
     def is_stable(self) -> bool:
-        return abs(self.xi) < self.kappa_bar
+        return bool(drift_stable(self.kappa_bar, self.delta, abs(self.xi)))
 
     @classmethod
     def from_ordinary(
@@ -98,8 +112,9 @@ def _denominator(cav: PumpedCavity, omega) -> np.ndarray:
 def _require_stable(cav: PumpedCavity, allow_unstable: bool) -> None:
     if not allow_unstable and not cav.is_stable:
         raise DomainError(
-            f"|xi| = {abs(cav.xi):.4e} >= kappa_bar = {cav.kappa_bar:.4e}: "
-            "self-oscillation regime (pass allow_unstable=True to evaluate anyway)"
+            f"|xi| = {abs(cav.xi):.4e} >= sqrt(kappa_bar^2 + Delta^2) = "
+            f"{math.hypot(cav.kappa_bar, cav.delta):.4e}: self-oscillation regime "
+            "(pass allow_unstable=True to evaluate anyway)"
         )
 
 
@@ -123,6 +138,67 @@ def idler_gain(cav: PumpedCavity, f_hz, allow_unstable: bool = False):
     den = _denominator(cav, w)
     g = -1j * cav.xi * cav.kappa / den
     return complex(g) if np.isscalar(f_hz) else g
+
+
+def peak_gain_db(kappa, gamma, delta, xi):
+    """Maximum over the signal offset of 10*log10|g_s|^2, elementwise.
+
+    Takes broadcastable arrays of rates in one unit (xi by magnitude) and
+    returns NaN where the cavity has no steady state (drift_stable).  With
+    rates scaled by kappa_bar, |g_s|^2 = k^2 N/D with N = 1 + (d + w)^2 and
+    D = (a - w^2)^2 + 4 w^2, a = 1 + d^2 - x^2.  D vanishes at infinity
+    faster than N, so the peak sits at a real root of N'D - ND' = -2 Q,
+    Q = w^5 + 3d w^4 + 2e w^3 + b d w^2 + (b e - a^2) w - a^2 d with
+    e = 1 + d^2 and b = 4 - 2a.  Newton steps on Q start from
+    w = +-sqrt(max(d^2 - x^2, 0)), the imaginary parts of the drift
+    eigenvalues, near which the one or two gain peaks lie; the result is the
+    largest gain at the starts and where the steps end.  Every point taken
+    lies on the curve, so a start that does not converge can only be
+    outdone, never overshoot the peak.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    kb = kappa + np.asarray(gamma, dtype=float) / 2.0
+    delta, xi = np.asarray(delta, dtype=float), np.abs(xi)
+    k, d, x = kappa / kb, delta / kb, xi / kb
+    e = 1.0 + d * d
+    a = e - x * x
+    b = 4.0 - 2.0 * a
+    c4, c3, c2, c1, c0 = 3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d
+    r = np.sqrt(np.maximum(d * d - x * x, 0.0))
+    starts = np.stack([r, -r])
+    w = starts.copy()
+    # In-place Horner keeps the working set to a few arrays of the grid's size.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            q = w + c4
+            dq = 5.0 * w
+            dq += 4.0 * c4
+            for coef, n in ((c3, 3.0), (c2, 2.0), (c1, 1.0)):
+                q *= w
+                q += coef
+                dq *= w
+                dq += n * coef
+            q *= w
+            q += c0
+            q /= dq
+            w -= q
+        peak = np.fmax(_gain_ratio(starts, d, a), _gain_ratio(w, d, a))
+        peak_db = 10.0 * np.log10(k * k * peak)
+    return np.where(drift_stable(kb, delta, xi), peak_db, np.nan)
+
+
+def _gain_ratio(w, d, a):
+    """Largest N/D = (1 + (d + w)^2) / ((a - w^2)^2 + 4 w^2) over the first axis of w."""
+    num = d + w
+    num *= num
+    num += 1.0
+    den = w * w
+    g = a - den
+    g *= g
+    den *= 4.0
+    den += g
+    num /= den
+    return np.fmax.reduce(num, axis=0)
 
 
 def photon_number_residual(cav: PumpedCavity, f_hz) -> float:
@@ -158,8 +234,8 @@ class GainCurve:
         return cls(f_hz, g, 10.0 * np.log10(np.abs(g) ** 2))
 
     @classmethod
-    def from_cavity(cls, cav: PumpedCavity, f_hz, allow_unstable: bool = False) -> "GainCurve":
-        return cls.from_gains(f_hz, signal_gain(cav, np.asarray(f_hz, dtype=float), allow_unstable))
+    def from_cavity(cls, cav: PumpedCavity, f_hz) -> "GainCurve":
+        return cls.from_gains(f_hz, signal_gain(cav, np.asarray(f_hz, dtype=float)))
 
     def to_csv(self, path) -> None:
         g = self.complex_gain
@@ -378,7 +454,7 @@ class PumpSearchResult:
 
 
 def find_optimal_pump(
-    evaluator: Callable[[float, float], float],
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
     target_db: float,
     f_bounds: Tuple[float, float],
     p_bounds_dbm: Tuple[float, float],
@@ -389,16 +465,23 @@ def find_optimal_pump(
 ) -> PumpSearchResult:
     """Grid search for the cheapest pump setting reaching a target gain.
 
-    ``evaluator(f_pump_hz, p_pump_dbm)`` must be pure and reentrant and
-    return the peak gain in dB; a non-finite return marks self-oscillation
-    and stops the power ramp at that frequency.  The frequency grid is
-    refined tenfold around the best candidate until its spacing is at most
-    ``refine_to_hz``.
+    ``evaluator(f_pump_hz, p_pump_dbm)`` takes a column of pump frequencies
+    and a row of pump powers and returns the peak gain in dB on the whole
+    (f_pump x P_pump) grid, non-finite where the cavity self-oscillates; it
+    is called once per level of the search.  Each row is then replayed as a
+    power ramp from the lowest power, which stops at the first point that is
+    non-finite or reaches the target.  Only the points a ramp visits count:
+    they give the candidates, the best point, ``self_oscillation`` and
+    ``n_evaluations``.  The frequency grid is refined tenfold around the best
+    candidate until its spacing is at most ``refine_to_hz``.
     """
     f_lo, f_hi = f_bounds
     p_lo, p_hi = p_bounds_dbm
-    if not (f_hi > f_lo and p_hi >= p_lo):
-        raise DomainError("search bounds must be ordered")
+    if not (f_hi > f_lo and p_hi >= p_lo and n_f_coarse >= 2 and p_step_db > 0 and refine_to_hz > 0):
+        raise DomainError(
+            "search bounds must be ordered: need f_hi > f_lo, p_hi >= p_lo, n_f_coarse >= 2, "
+            "p_step_db > 0 and refine_to_hz > 0"
+        )
     p_grid = np.arange(p_lo, p_hi + 0.5 * p_step_db, p_step_db)
 
     state = {"n": 0, "osc": False, "best": (-math.inf, None, None)}
@@ -407,20 +490,20 @@ def find_optimal_pump(
         # Candidate ordering: lowest power first, then highest achieved gain
         # (at equal quantized power the gain peaks at the optimal frequency),
         # then frequency for determinism.
-        found = []
-        for f in f_values:
-            for pw in p_grid:
-                g = evaluator(float(f), float(pw))
-                state["n"] += 1
-                if not math.isfinite(g):
-                    state["osc"] = True
-                    break
-                if g > state["best"][0]:
-                    state["best"] = (g, float(f), float(pw))
-                if g >= target_db:
-                    found.append((float(pw), -g, float(f)))
-                    break
-        return found
+        g = evaluator(f_values[:, None], p_grid[None, :])
+        stop = ~np.isfinite(g) | (g >= target_db)
+        stopped = stop.any(axis=1)
+        last = np.where(stopped, stop.argmax(axis=1), p_grid.size - 1)
+        g_last = g[np.arange(f_values.size), last]
+        state["n"] += int(last.sum()) + f_values.size
+        state["osc"] |= bool(np.any(stopped & ~np.isfinite(g_last)))
+        # The first maximum in ramp order, as a point-by-point scan meets it.
+        seen = np.where((np.arange(p_grid.size) <= last[:, None]) & np.isfinite(g), g, -math.inf)
+        i_f, i_p = np.unravel_index(np.argmax(seen), seen.shape)
+        if seen[i_f, i_p] > state["best"][0]:
+            state["best"] = (float(seen[i_f, i_p]), float(f_values[i_f]), float(p_grid[i_p]))
+        hits = np.flatnonzero(stopped & np.isfinite(g_last))
+        return [(float(p_grid[last[j]]), -float(g_last[j]), float(f_values[j])) for j in hits]
 
     f_grid = np.linspace(f_lo, f_hi, n_f_coarse)
     step = (f_hi - f_lo) / (n_f_coarse - 1)

@@ -8,12 +8,14 @@ build.  Returned truth dictionaries carry the planted parameters.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import DomainError
 from .fitkit import SweepRecord
-from .io_dynamics import GainCurve, PumpedCavity, signal_gain
+from .io_dynamics import GainCurve, PumpedCavity, peak_gain_db, signal_gain
 from .ki_device import ResonatorParams, resonance_vs_bias
 from .noise_cal import ReceiverChain, VtsSetpoint, hemt_input_noise, input_noise, vts_output_noise
 from .quantities import BOLTZMANN
@@ -178,33 +180,47 @@ def field_shift_sweep(
     return SweepRecord(b_values_t, y, sigma, meta={"kind": "b_vs_relshift"}), truth
 
 
+@dataclass(frozen=True)
+class PumpMap:
+    """Peak gain over the plane of pump frequency and pump power.
+
+    The pump power sets |xi| through an amplitude coupling
+    |xi|/2pi = xi_hz_per_sqrt_mw * sqrt(P/1 mW); the detuning follows the
+    pump frequency as Delta/2pi = f_r - f_pump/2.
+    """
+
+    kappa_hz: float
+    gamma_hz: float
+    f_r_hz: float
+    xi_hz_per_sqrt_mw: float
+
+    def __post_init__(self):
+        if not self.kappa_hz > 0.0:
+            raise DomainError("kappa must be positive")
+        if not self.gamma_hz >= 0.0:
+            raise DomainError("gamma must be non-negative")
+
+    def peak_gain_db(self, f_pump_hz, p_pump_dbm) -> np.ndarray:
+        """Peak gain in dB on broadcast arrays of pump frequency (Hz) and
+        power (dBm), NaN in the self-oscillation regime; the grid evaluator
+        of io_dynamics.find_optimal_pump."""
+        f_pump_hz = np.asarray(f_pump_hz, dtype=float)
+        if np.any(f_pump_hz <= 0.0):
+            raise DomainError("pump frequency must be positive")
+        xi_hz = self.xi_hz_per_sqrt_mw * 10.0 ** (np.asarray(p_pump_dbm, dtype=float) / 20.0)
+        return peak_gain_db(self.kappa_hz, self.gamma_hz, self.f_r_hz - f_pump_hz / 2.0, xi_hz)
+
+
 def pump_gain_map(
     kappa_hz: float,
     gamma_hz: float,
     f_r_hz: float,
     xi_hz_per_sqrt_mw: float,
 ) -> Callable[[float, float], float]:
-    """Model-backed evaluator (f_pump_hz, p_pump_dbm) -> peak gain in dB.
-
-    The pump power sets |xi| through an amplitude coupling
-    |xi|/2pi = xi_hz_per_sqrt_mw * sqrt(P/1 mW); the detuning follows the
-    pump frequency as Delta = 2pi*(f_r - f_pump/2).  Returns NaN in the
-    self-oscillation regime.
-    """
-    kbar_hz = kappa_hz + gamma_hz / 2.0
-
-    def evaluator(f_pump_hz: float, p_pump_dbm: float) -> float:
-        xi_hz = xi_hz_per_sqrt_mw * 10.0 ** (p_pump_dbm / 20.0)
-        if xi_hz >= kbar_hz:
-            return math.nan
-        delta_hz = f_r_hz - f_pump_hz / 2.0
-        cav = PumpedCavity.from_ordinary(kappa_hz, gamma_hz, delta_hz, -1j * xi_hz, f_pump_hz)
-        span = 6.0 * kappa_hz
-        f = np.linspace(f_pump_hz / 2.0 - span, f_pump_hz / 2.0 + span, 241)
-        g = signal_gain(cav, f, allow_unstable=True)
-        return float(np.max(10.0 * np.log10(np.abs(g) ** 2)))
-
-    return evaluator
+    """Scalar view (f_pump_hz, p_pump_dbm) -> peak gain in dB of
+    PumpMap.peak_gain_db, NaN in the self-oscillation regime."""
+    law = PumpMap(kappa_hz, gamma_hz, f_r_hz, xi_hz_per_sqrt_mw).peak_gain_db
+    return lambda f_pump_hz, p_pump_dbm: float(law(f_pump_hz, p_pump_dbm))
 
 
 def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0, n: int = 4) -> List[float]:

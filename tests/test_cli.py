@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kipa_lab import cli, env_models
+from kipa_lab import cli, env_models, io_dynamics
 from kipa_lab.fitkit import SweepRecord
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -222,7 +222,9 @@ def test_compression_flat_sweep_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, line", [("x,y\n1,2\n3\n", 3), ("x,y\n1,abc\n", 2)], ids=["short-row", "non-numeric-cell"]
+    "text, line",
+    [("x,y\n1,2\n3\n", 3), ("x,y\n1,abc\n", 2), ("x,y,sigma_y\n1,2,0.1\n2,3,\n3,4,0.1\n", 3)],
+    ids=["short-row", "non-numeric-cell", "sigma-blank-on-some-rows"],
 )
 def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
     (tmp_path / "bad.csv").write_text(text)
@@ -233,6 +235,65 @@ def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("configuration error:")
     assert str(tmp_path / "bad.csv") in err[0] and f"line {line}" in err[0]
+
+
+@pytest.mark.parametrize("text", ["", "x,y,sigma_y\n", "# no data\n"], ids=["empty", "header-only", "comment-only"])
+def test_empty_sweep_csv_exits_2(tmp_path, capsys, text):
+    (tmp_path / "empty.csv").write_text(text)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"small_signal_gain_db": 21.0, "sweep_file": "empty.csv"}))
+    code = cli.main(["compression", "--config", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert str(tmp_path / "empty.csv") in err[0]
+
+
+def _gain_config(tmp_path, **cavity):
+    doc = json.loads((CONFIGS / "gain.json").read_text())
+    doc["cavity"].update(cavity)
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def test_gain_without_steady_state_reports_no_peak(tmp_path, capsys):
+    code, doc = run_json(capsys, "gain", "--config", str(_gain_config(tmp_path, xi_frac_of_kbar=1.05)), "--out", str(tmp_path / "out"))
+    res = doc["results"]
+    assert code == 0
+    assert res["stable"] is False
+    assert res["peak_gain_db"] is None and res["peak_f_hz"] is None and res["gbp_hz"] is None
+    assert "no steady state" in res["status"]
+    assert not (tmp_path / "out" / "curve.csv").exists()
+
+
+def test_gain_detuned_above_kappa_bar_is_stable(tmp_path, capsys):
+    # |xi| = 1.08 kappa_bar at Delta = 0.5 kappa: below sqrt(kappa_bar^2 + Delta^2).
+    cfg = _gain_config(tmp_path, xi_frac_of_kbar=1.08, delta_hz=0.5 * 1.98e7)
+    code, doc = run_json(capsys, "gain", "--config", str(cfg))
+    res = doc["results"]
+    assert code == 0
+    assert res["stable"] is True and "status" not in res
+    kappa, gamma = 1.98e7, 1.0e6
+    peak = io_dynamics.peak_gain_db(kappa, gamma, 0.5 * kappa, 1.08 * (kappa + gamma / 2.0))
+    assert peak - 0.01 <= res["peak_gain_db"] <= peak + 1e-9
+    assert res["gbp_hz"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"n_f_coarse": 1}, {"p_step_db": 0}, {"p_step_db": -0.25}, {"refine_to_hz": 0}],
+    ids=["one-frequency", "zero-power-step", "negative-power-step", "zero-resolution"],
+)
+def test_pump_search_degenerate_grid_exits_4(tmp_path, capsys, settings):
+    doc = json.loads((CONFIGS / "pump_search.json").read_text())
+    doc["search"].update(settings)
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["pump-search", "--config", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("domain error: search bounds must be ordered")
 
 
 def test_pump_search_failure_prints_strict_json(tmp_path, capsys):

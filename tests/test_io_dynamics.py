@@ -17,6 +17,7 @@ from kipa_lab.io_dynamics import (
     n_gamma_term,
     n_kappa2_term,
     output_quadrature_variance,
+    peak_gain_db,
     photon_number_residual,
     quadrature_gain_x,
     quadrature_transfer,
@@ -24,7 +25,7 @@ from kipa_lab.io_dynamics import (
     signal_gain,
     transmission_deamp,
 )
-from kipa_lab.synthetic import compression_sweep, pump_gain_map
+from kipa_lab.synthetic import PumpMap, compression_sweep, pump_gain_map
 
 F_PUMP = 1.1347e10
 F_HALF = F_PUMP / 2.0
@@ -293,7 +294,7 @@ def test_gain_curve_csv_round_trip(tmp_path):
 
 def test_find_optimal_pump_recovers_planted_optimum():
     f_r = 5.6735e9
-    evaluator = pump_gain_map(19.8e6, 0.0, f_r, xi_hz_per_sqrt_mw=2.2e9)
+    evaluator = PumpMap(19.8e6, 0.0, f_r, xi_hz_per_sqrt_mw=2.2e9).peak_gain_db
     res = find_optimal_pump(evaluator, 20.0, (2 * f_r - 2e7, 2 * f_r + 2e7), (-60.0, -40.0))
     assert res.success
     assert abs(res.f_pump_hz - 2 * f_r) <= 1e4
@@ -301,7 +302,7 @@ def test_find_optimal_pump_recovers_planted_optimum():
 
 
 def test_find_optimal_pump_zero_target_returns_minimal_power():
-    evaluator = pump_gain_map(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=2.2e9)
+    evaluator = PumpMap(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=2.2e9).peak_gain_db
     res = find_optimal_pump(evaluator, 0.0, (1.1337e10, 1.1357e10), (-60.0, -40.0))
     assert res.success
     assert res.p_pump_dbm == -60.0
@@ -309,10 +310,166 @@ def test_find_optimal_pump_zero_target_returns_minimal_power():
 
 def test_find_optimal_pump_all_unstable_flags_self_oscillation():
     # Pump coupling so strong that even the lowest probed power self-oscillates.
-    evaluator = pump_gain_map(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=1e12)
+    evaluator = PumpMap(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=1e12).peak_gain_db
     res = find_optimal_pump(evaluator, 20.0, (1.1337e10, 1.1357e10), (-60.0, -40.0))
     assert not res.success
     assert res.self_oscillation
+
+
+def drift_matrix_stable(kappa, gamma, delta, xi) -> bool:
+    """Oracle: both eigenvalues of the pump-frame drift matrix of (a, a+) decay."""
+    kb = kappa + gamma / 2.0
+    m = np.array([[-kb - 1j * delta, -1j * xi], [1j * np.conj(xi), -kb + 1j * delta]])
+    return bool(np.max(np.linalg.eigvals(m).real) < 0.0)
+
+
+def test_is_stable_matches_drift_matrix_eigenvalues():
+    rng = np.random.default_rng(41)
+    n_between = 0
+    for _ in range(400):
+        kappa = rng.uniform(0.5, 5.0) * 1e8
+        gamma = rng.uniform(0.0, 0.3) * kappa
+        kb = kappa + gamma / 2.0
+        delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0) * kappa
+        threshold = math.hypot(kb, delta)
+        xi_abs = rng.uniform(0.0, 1.3) * threshold
+        if abs(xi_abs - threshold) < 1e-6 * threshold:
+            continue
+        n_between += kb < xi_abs < threshold
+        cav = PumpedCavity(kappa, gamma, delta, xi_abs * np.exp(1j * rng.uniform(0, 2 * np.pi)), F_PUMP)
+        want = drift_matrix_stable(kappa, gamma, delta, cav.xi)
+        assert cav.is_stable == want
+        if want:
+            assert np.isfinite(abs(signal_gain(cav, F_HALF + delta / (2 * math.pi))))
+        else:
+            with pytest.raises(DomainError, match="kappa_bar\\^2 \\+ Delta\\^2"):
+                signal_gain(cav, F_HALF)
+    assert n_between >= 20  # |xi| above kappa_bar yet stable through the detuning
+
+
+def polynomial_peak_db(kappa, gamma, delta, xi_abs) -> float:
+    """Oracle: the largest |g_s|^2 at a real root of d|g_s|^2/d omega, with the
+    roots from numpy.polynomial and |g_s| from signal_gain itself."""
+    kb = kappa + gamma / 2.0
+    d, x = delta / kb, xi_abs / kb
+    a = d**2 + 1.0 - x**2
+    num = np.polynomial.Polynomial([1.0 + d**2, 2.0 * d, 1.0])
+    den = np.polynomial.Polynomial([a**2, 0.0, 4.0 - 2.0 * a, 0.0, 1.0])
+    roots = (num.deriv() * den - num * den.deriv()).roots()
+    w = roots.real[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots.real))]
+    cav = PumpedCavity(kappa, gamma, delta, -1j * xi_abs, F_PUMP)
+    g = signal_gain(cav, F_HALF + w * kb / (2.0 * math.pi))
+    return float(np.max(10.0 * np.log10(np.abs(g) ** 2)))
+
+
+@pytest.mark.parametrize(
+    "xi_lo, xi_hi, tol_db",
+    [(0.0, 0.999, 1e-9), (1.0 - 1e-3, 1.0 - 1e-6, 1e-8)],
+    ids=["off-resonance", "near-threshold"],
+)
+def test_peak_gain_db_matches_polynomial_roots(xi_lo, xi_hi, tol_db):
+    rng = np.random.default_rng(42)
+    n = 300
+    kappa = rng.uniform(0.5, 5.0, n) * 1e8
+    gamma = rng.uniform(0.0, 0.3, n) * kappa
+    delta = rng.uniform(-3.0, 3.0, n) * kappa
+    xi_abs = rng.uniform(xi_lo, xi_hi, n) * np.hypot(kappa + gamma / 2.0, delta)
+    got = peak_gain_db(kappa, gamma, delta, xi_abs)
+    want = [polynomial_peak_db(*p) for p in zip(kappa, gamma, delta, xi_abs)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol_db)
+
+
+def test_peak_gain_db_broadcasts_and_is_nan_without_steady_state():
+    kb = KAPPA
+    got = peak_gain_db(KAPPA, 0.0, np.array([[0.0], [0.5 * kb]]), np.array([0.9, 1.08, 1.2]) * kb)
+    assert got.shape == (2, 3)
+    assert np.isfinite(got[0, 0]) and np.isnan(got[0, 1:]).all()
+    assert np.isfinite(got[1, :2]).all() and np.isnan(got[1, 2])
+    assert got[0, 0] == pytest.approx(20.0 * math.log10(1.0 / (1.0 - 0.81)), abs=1e-12)
+
+
+def scalar_ramp_search(law, target_db, f_bounds, p_bounds, n_f_coarse=41, p_step_db=0.25, refine_to_hz=1e4):
+    """Reference: the search as a point-by-point power ramp along every
+    frequency row of each level's grid; returns (f, p, gain, n_evaluations,
+    self_oscillation)."""
+    p_grid = np.arange(p_bounds[0], p_bounds[1] + 0.5 * p_step_db, p_step_db)
+    n, osc, best = 0, False, (-math.inf, None, None)
+
+    def scan(f_values):
+        nonlocal n, osc, best
+        grid = law(f_values[:, None], p_grid[None, :])
+        found = []
+        for f, row in zip(f_values, grid):
+            for p, g in zip(p_grid, row):
+                n += 1
+                if not math.isfinite(g):
+                    osc = True
+                    break
+                if g > best[0]:
+                    best = (float(g), float(f), float(p))
+                if g >= target_db:
+                    found.append((float(p), -float(g), float(f)))
+                    break
+        return found
+
+    step = (f_bounds[1] - f_bounds[0]) / (n_f_coarse - 1)
+    found = scan(np.linspace(f_bounds[0], f_bounds[1], n_f_coarse))
+    if not found:
+        return best[1], best[2], None if best[1] is None else best[0], n, osc
+    p_best, neg_g, f_best = min(found)
+    for _ in range(8):
+        if step <= refine_to_hz:
+            break
+        lo, hi = max(f_bounds[0], f_best - step), min(f_bounds[1], f_best + step)
+        step /= 10.0
+        found = scan(np.arange(lo, hi + 0.5 * step, step)) or [(p_best, neg_g, f_best)]
+        p_best, neg_g, f_best = min(found)
+    return f_best, p_best, -neg_g, n, osc
+
+
+# (map, search): configs/pump_search.json, two rectangles detuned everywhere by
+# half a kappa or more, the same rectangle with a coupling that oscillates at
+# every power, and a target out of reach.
+F_R = 5.6735e9
+PUMP_CASES = {
+    "pump_search.json": ((19.8e6, 0.0, F_R, 2.2e9), (20.0, (1.1327e10, 1.1367e10), (-60.0, -40.0))),
+    "detuned-above": (
+        (19.8e6, 0.0, F_R, 2.2e9),
+        (20.0, (2.0 * (F_R - 0.8 * 19.8e6), 2.0 * (F_R - 0.5 * 19.8e6)), (-60.0, -35.0)),
+    ),
+    "detuned-below": (
+        (15e6, 0.5e6, 5.70e9, 1.8e9),
+        (18.0, (2.0 * (5.70e9 + 0.55 * 15e6), 2.0 * (5.70e9 + 0.9 * 15e6)), (-62.0, -36.0)),
+    ),
+    "all-unstable": ((19.8e6, 0.0, F_R, 2.2e9), (20.0, (1.1327e10, 1.1367e10), (-30.0, -20.0))),
+    "out-of-reach": ((19.8e6, 0.0, F_R, 2.2e9), (40.0, (1.1327e10, 1.1367e10), (-60.0, -45.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUMP_CASES))
+def test_grid_search_matches_scalar_power_ramp(case):
+    params, (target, f_bounds, p_bounds) = PUMP_CASES[case]
+    law = PumpMap(*params).peak_gain_db
+    got = find_optimal_pump(law, target, f_bounds, p_bounds)
+    want = scalar_ramp_search(law, target, f_bounds, p_bounds)
+    assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
+    assert got.success == (case not in ("all-unstable", "out-of-reach"))
+    if got.gain_db is not None:
+        assert pump_gain_map(*params)(got.f_pump_hz, got.p_pump_dbm) == pytest.approx(got.gain_db, abs=1e-9)
+
+
+def test_grid_search_counts_only_what_the_ramps_visit():
+    # NaN at -50 dBm, then a higher gain that no ramp reaches.
+    def law(f, p):
+        g = np.where(p < -50.0, 10.0 + (p + 60.0) / 10.0, 15.0) + 0.0 * f
+        return np.where(p == -50.0, np.nan, g)
+
+    got = find_optimal_pump(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=5)
+    assert not got.success and got.self_oscillation
+    assert got.n_evaluations == 5 * 41
+    assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db) == (1.0e10, -50.25, pytest.approx(10.975))
+    want = scalar_ramp_search(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=5)
+    assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
 
 
 def test_compression_point_published_numbers():
