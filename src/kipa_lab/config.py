@@ -23,13 +23,21 @@ from .squeeze import SqueezeBudget
 
 
 def load_json(path) -> dict:
+    """Read a config file: one JSON object, strict JSON (no NaN or Infinity)."""
+
+    def reject(literal):
+        raise ConfigError(f"config {path} is not strict JSON: {literal} is not a number")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:

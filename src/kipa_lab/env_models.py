@@ -16,11 +16,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigWarning, DomainError, InversionError, PhysicsWarning
+from .errors import ConfigError, ConfigWarning, DomainError, InversionError, PhysicsWarning
 from .fitkit import SweepRecord
 from .quantities import BOLTZMANN, E_CHARGE, HBAR, PLANCK
 
@@ -125,17 +125,19 @@ def fit_field_shift(
     sweep: SweepRecord,
     model: FieldModel,
     estimate_theta: bool = True,
-    bc_criterion: Optional[str | Callable[[float, FieldModel], float]] = None,
-    poor_fit_chi2: float = 10.0,
+    bc_criterion: Optional[str] = None,
 ) -> FieldShiftFit:
     """Weighted least-squares fit of d_omega/omega = -c * B^2.
 
-    The single curvature coefficient is always reported.  When
+    The single curvature coefficient is always reported; a reduced chi^2
+    above 10 warns that the data deviate from the law.  When
     ``estimate_theta`` and the model provides the conductor width, the
     misalignment angle is decomposed out of the ratio to the isotropic
-    curvature.  A critical-field number is produced only under an explicitly
-    named or supplied criterion.
+    curvature.  A critical-field number is produced only under a criterion
+    named from BC_CRITERIA; another name raises ConfigError.
     """
+    if bc_criterion is not None and bc_criterion not in BC_CRITERIA:
+        raise ConfigError(f"unknown bc_criterion {bc_criterion!r}; known: {', '.join(sorted(BC_CRITERIA))}")
     if len(sweep) < 5:
         raise DomainError("need at least 5 field points for the quadratic fit")
     w = sweep.weights
@@ -148,7 +150,7 @@ def fit_field_shift(
     resid = sweep.y + c * x2
     dof = len(sweep) - 1
     rchi2 = float(np.sum(w * resid**2)) / dof if dof > 0 else 0.0
-    if rchi2 > poor_fit_chi2:
+    if rchi2 > 10.0:
         warnings.warn(
             f"reduced chi^2 = {rchi2:.2f}: data deviate from the quadratic law",
             PhysicsWarning,
@@ -169,10 +171,7 @@ def fit_field_shift(
                 stacklevel=2,
             )
 
-    b_c = None
-    if bc_criterion is not None:
-        fn = BC_CRITERIA[bc_criterion] if isinstance(bc_criterion, str) else bc_criterion
-        b_c = fn(c, model)
+    b_c = None if bc_criterion is None else BC_CRITERIA[bc_criterion](c, model)
 
     return FieldShiftFit(
         curvature=c,
@@ -257,11 +256,12 @@ class TempModel:
     def gap(self) -> float:
         return BCS_GAP_RATIO * BOLTZMANN * self.t_c
 
-    def warn_if_nonmonotone(self, f_r: float, t_lo: float = 0.05, t_hi: Optional[float] = None, n: int = 64) -> bool:
-        """Numerically check monotonicity of the shift over [t_lo, t_hi]
-        (default upper end 0.4*T_C); warn and return False on violation."""
+    def warn_if_nonmonotone(self, f_r: float, t_lo: float = 0.05, t_hi: Optional[float] = None) -> bool:
+        """Numerically check monotonicity of the shift at 64 points over
+        [t_lo, t_hi] (default upper end 0.4*T_C); warn and return False on
+        violation."""
         t_hi = 0.4 * self.t_c if t_hi is None else t_hi
-        ts = np.linspace(t_lo, t_hi, n)
+        ts = np.linspace(t_lo, t_hi, 64)
         vals = np.array([_shift_absolute(t, f_r, self) for t in ts])
         d = np.diff(vals)
         ok = bool(np.all(d <= 0.0) or np.all(d >= 0.0))
@@ -319,7 +319,6 @@ def device_temp_from_shift(
     model: TempModel,
     t_min: float = 0.02,
     t_max: Optional[float] = None,
-    tol: float = 1e-5,
 ) -> float:
     """Invert the shift model for temperature by bisection (tol = 10 uK).
 
@@ -348,7 +347,7 @@ def device_temp_from_shift(
             f"for T in [{t_min}, {t_max}] K"
         )
     lo, hi = t_min, t_max
-    while hi - lo > tol:
+    while hi - lo > 1e-5:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_lo * f_mid <= 0.0:

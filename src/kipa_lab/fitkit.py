@@ -4,14 +4,14 @@ least squares with numeric Jacobians.
 The nonlinear solver is a fixed, reproducible Levenberg-Marquardt variant:
 central-difference Jacobians with relative step 1e-6, damping factor adapted
 by x10 on rejection and /10 on acceptance, and hard convergence tolerances.
-The tolerances live in FitConfig so a run can be reproduced exactly.
+The tolerances are module constants so every run uses the same ones.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,13 +24,12 @@ class SweepRecord:
     """A generic (x, y, sigma_y) dataset for fits.
 
     sigma_y is optional; when present it must be positive and is used as
-    inverse-variance weights.  ``meta`` carries free-form provenance.
+    inverse-variance weights.
     """
 
     x: np.ndarray
     y: np.ndarray
     sigma_y: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -61,9 +60,9 @@ class SweepRecord:
     @classmethod
     def from_csv(cls, path) -> "SweepRecord":
         """Read x,y[,sigma_y] rows; an optional header and '#' comment lines
-        are skipped.  A file without data rows, a short or non-numeric row,
-        or a sigma_y left blank on some rows but not all raises ConfigError
-        naming the file (and the line)."""
+        are skipped.  A file without data rows, a short, non-numeric or
+        non-finite row, or a sigma_y left blank on some rows but not all
+        raises ConfigError naming the file (and the line)."""
         xs, ys, ss, blank = [], [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -71,20 +70,20 @@ class SweepRecord:
         start = 1 if rows and not _is_number(rows[0][1][0]) else 0  # optional header
         for line, r in rows[start:]:
             try:
-                xs.append(float(r[0]))
-                ys.append(float(r[1]))
+                xs.append(_finite(r[0]))
+                ys.append(_finite(r[1]))
                 if len(r) > 2 and r[2].strip():
-                    ss.append(float(r[2]))
+                    ss.append(_finite(r[2]))
                 else:
                     blank.append(line)
             except (IndexError, ValueError):
-                raise ConfigError(f"sweep {path} line {line}: expected numeric x,y[,sigma_y], got {','.join(r)!r}") from None
+                raise ConfigError(f"sweep {path} line {line}: expected finite numeric x,y[,sigma_y], got {','.join(r)!r}") from None
         if not xs:
             raise ConfigError(f"empty sweep file {path}: no data rows")
         if ss and blank:
             raise ConfigError(f"sweep {path} line {blank[0]}: sigma_y is blank here but given on other rows")
         sigma = np.array(ss) if ss else None
-        return cls(np.array(xs), np.array(ys), sigma, meta={"source": str(path)})
+        return cls(np.array(xs), np.array(ys), sigma)
 
 
 def write_csv(fh, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -96,6 +95,14 @@ def write_csv(fh, header: Sequence, rows: Iterable[Sequence]) -> None:
     w = csv.writer(fh)
     w.writerow(header)
     w.writerows(rows)
+
+
+def _finite(s: str) -> float:
+    """float(s), with ValueError for nan and +-inf as for any non-number."""
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {s!r}")
+    return v
 
 
 def _is_number(s: str) -> bool:
@@ -117,20 +124,6 @@ class FitResult:
     @property
     def stderr(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Solver knobs, fixed for reproducibility."""
-
-    rel_step: float = 1e-6  # central-difference Jacobian step, relative
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-    lambda_max: float = 1e12
-    rtol_cost: float = 1e-12
-    rtol_step: float = 1e-12
-    max_iter: int = 200
 
 
 def linear_fit(data: SweepRecord, fixed_slope: Optional[float] = None) -> FitResult:
@@ -186,12 +179,22 @@ def linear_fit(data: SweepRecord, fixed_slope: Optional[float] = None) -> FitRes
     )
 
 
-def _numeric_jacobian(model: Callable, x: np.ndarray, p: np.ndarray, rel_step: float) -> np.ndarray:
+# Levenberg-Marquardt settings, fixed for reproducibility.
+_REL_STEP = 1e-6  # central-difference Jacobian step, relative
+_LAMBDA0 = 1e-3
+_LAMBDA_FACTOR = 10.0  # damping x10 on rejection, /10 on acceptance
+_LAMBDA_MAX = 1e12
+_RTOL_COST = 1e-12
+_RTOL_STEP = 1e-12
+_MAX_ITER = 200
+
+
+def _numeric_jacobian(model: Callable, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian d model / d p, shape (len(x), len(p))."""
     m = p.size
     J = np.empty((x.size, m))
     for i in range(m):
-        h = rel_step * abs(p[i]) if p[i] != 0.0 else rel_step
+        h = _REL_STEP * abs(p[i]) if p[i] != 0.0 else _REL_STEP
         pp = p.copy()
         pm = p.copy()
         pp[i] += h
@@ -205,27 +208,18 @@ def nlls_fit(
     data: SweepRecord,
     p0: Sequence[float],
     bounds: Optional[tuple] = None,
-    config: FitConfig = FitConfig(),
-    n_starts: int = 1,
 ) -> FitResult:
     """Damped nonlinear least squares.
 
     ``model(x, params)`` must be a pure, reentrant evaluator returning an
     array like x.  Steps solve (J^T W J + lambda*diag(J^T W J)) d = J^T W r;
     lambda is multiplied by 10 on rejection and divided by 10 on acceptance.
-    Convergence: relative cost change < rtol_cost or relative step norm
-    < rtol_step, within max_iter iterations; otherwise converged=False.
+    Convergence: relative cost change < _RTOL_COST or relative step norm
+    < _RTOL_STEP, within _MAX_ITER iterations; otherwise converged=False.
 
     ``bounds`` is an optional (lo, hi) pair of arrays; trial steps are
-    clipped into the box.  With ``n_starts > 1`` (requires bounds) the fit is
-    repeated from a deterministic Halton sequence of starting points inside
-    the box and the lowest-cost converged result wins.
+    clipped into the box.
     """
-    if n_starts > 1:
-        if bounds is None:
-            raise FitError("multi-start fitting requires bounds")
-        return _multistart(model, data, p0, bounds, config, n_starts)
-
     p = np.asarray(p0, dtype=float).copy()
     if bounds is not None:
         lo = np.asarray(bounds[0], dtype=float)
@@ -240,22 +234,22 @@ def nlls_fit(
         return float(np.sum(w * r * r)), r
 
     cost, r = cost_of(p)
-    lam = config.lambda0
+    lam = _LAMBDA0
     converged = False
     n_iter = 0
-    for n_iter in range(1, config.max_iter + 1):
-        J = _numeric_jacobian(model, data.x, p, config.rel_step)
+    for n_iter in range(1, _MAX_ITER + 1):
+        J = _numeric_jacobian(model, data.x, p)
         A = J.T @ (w[:, None] * J)
         g = J.T @ (w * r)
         d = np.diag(A).copy()
         if np.any(d == 0.0):
             raise RankError("a parameter has no effect on the model (zero Jacobian column)")
         accepted = False
-        while lam <= config.lambda_max:
+        while lam <= _LAMBDA_MAX:
             try:
                 step = np.linalg.solve(A + lam * np.diag(d), g)
             except np.linalg.LinAlgError:
-                lam *= config.lambda_up
+                lam *= _LAMBDA_FACTOR
                 continue
             trial = p + step
             if bounds is not None:
@@ -266,13 +260,13 @@ def nlls_fit(
                 step_norm = float(np.linalg.norm(trial - p))
                 rel_drop = (cost - new_cost) / max(cost, np.finfo(float).tiny)
                 p, cost, r = trial, new_cost, new_r
-                lam = max(lam / config.lambda_down, 1e-15)
-                if rel_drop < config.rtol_cost or step_norm < config.rtol_step * (
+                lam = max(lam / _LAMBDA_FACTOR, 1e-15)
+                if rel_drop < _RTOL_COST or step_norm < _RTOL_STEP * (
                     1.0 + float(np.linalg.norm(p))
                 ):
                     converged = True
                 break
-            lam *= config.lambda_up
+            lam *= _LAMBDA_FACTOR
         if not accepted:
             # No downhill step found at any damping: stationary to tolerance.
             converged = cost == 0.0 or float(np.linalg.norm(g)) < 1e-8 * (1.0 + cost)
@@ -280,7 +274,7 @@ def nlls_fit(
         if converged:
             break
 
-    J = _numeric_jacobian(model, data.x, p, config.rel_step)
+    J = _numeric_jacobian(model, data.x, p)
     A = J.T @ (w[:, None] * J)
     try:
         cov = np.linalg.inv(A)
@@ -294,48 +288,3 @@ def nlls_fit(
         n_iterations=n_iter,
         converged=converged,
     )
-
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _radical_inverse(n: int, base: int) -> float:
-    inv, f = 0.0, 1.0 / base
-    while n:
-        inv += (n % base) * f
-        n //= base
-        f /= base
-    return inv
-
-
-def halton_points(n: int, dim: int) -> np.ndarray:
-    """First n points of the Halton low-discrepancy sequence in [0,1)^dim."""
-    if dim > len(_PRIMES):
-        raise FitError(f"halton sequence limited to {len(_PRIMES)} dimensions")
-    return np.array(
-        [[_radical_inverse(i, _PRIMES[d]) for d in range(dim)] for i in range(1, n + 1)]
-    )
-
-
-def _multistart(model, data, p0, bounds, config, n_starts) -> FitResult:
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
-    starts = [np.asarray(p0, dtype=float)]
-    for u in halton_points(n_starts - 1, lo.size):
-        starts.append(lo + u * (hi - lo))
-    best = None
-    best_cost = math.inf
-    for s in starts:
-        try:
-            res = nlls_fit(model, data, s, bounds=bounds, config=config)
-        except (RankError, FitError):
-            continue
-        r = data.y - np.asarray(model(data.x, res.params))
-        cost = float(np.sum(data.weights * r * r))
-        # Prefer converged results; among those, the lowest cost wins.
-        key = (not res.converged, cost)
-        if best is None or key < (not best.converged, best_cost):
-            best, best_cost = res, cost
-    if best is None:
-        raise FitError("all multi-start fits failed")
-    return best

@@ -23,7 +23,6 @@ Conventions
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -39,6 +38,10 @@ _POLE_GUARD = 1e-12
 # and |xi| up to 1 - 1e-9 of the threshold, 10 reach the peak to 1e-12 dB; the
 # rest is margin.
 _NEWTON_STEPS = 16
+
+# Cap on the tenfold refinements of the pump-search frequency grid; the
+# bundled search (10 MHz coarse step, 10 kHz target) takes 3.
+_MAX_REFINEMENTS = 8
 
 
 def drift_stable(kappa_bar, delta, xi_abs):
@@ -201,18 +204,6 @@ def _gain_ratio(w, d, a):
     return np.fmax.reduce(num, axis=0)
 
 
-def photon_number_residual(cav: PumpedCavity, f_hz) -> float:
-    """Diagnostic |g_s|^2 - |g_i|^2 at frequency f.
-
-    In this two-port transmission convention the difference is not pinned to
-    one (at band center with gamma = 0 it equals Re g_s); it is reported for
-    inspection, never asserted.
-    """
-    gs = signal_gain(cav, f_hz, allow_unstable=True)
-    gi = idler_gain(cav, f_hz, allow_unstable=True)
-    return abs(gs) ** 2 - abs(gi) ** 2
-
-
 @dataclass
 class GainCurve:
     """Gain sampled on a frequency grid; power_gain_db = 10*log10|g|^2."""
@@ -243,37 +234,24 @@ class GainCurve:
         with open(path, "w", newline="") as fh:
             write_csv(fh, ["f_hz", "re_g", "im_g", "gain_db"], rows)
 
-    @classmethod
-    def from_csv(cls, path) -> "GainCurve":
-        f, re, im = [], [], []
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        for r in rows[1:]:
-            if not r:
-                continue
-            f.append(float(r[0]))
-            re.append(float(r[1]))
-            im.append(float(r[2]))
-        return cls.from_gains(np.array(f), np.array(re) + 1j * np.array(im))
 
-
-def degenerate_gain(cav: PumpedCavity, psi_p: float, phase_offset: float = 0.0) -> complex:
+def degenerate_gain(cav: PumpedCavity, psi_p: float) -> complex:
     """Phase-sensitive gain at the degenerate point f = f_pump/2.
 
-    g(psi) = [k*kb + i*k*Delta + i*k*|xi|*exp(-i*(psi+offset))]
+    g(psi) = [k*kb + i*k*Delta + i*k*|xi|*exp(-i*psi)]
              / [Delta^2 + kb^2 - |xi|^2]
 
     Under this alignment |g| is maximal at psi = pi/2 and minimal at
-    psi = 3*pi/2; use phase_offset to match a differently referenced data
-    set.  At the minimum the magnitude reduces to the closed form of
-    transmission_deamp.
+    psi = 3*pi/2; a data set referenced to another phase origin is shifted
+    by the caller.  At the minimum the magnitude reduces to the closed form
+    of transmission_deamp.
     """
     kb = cav.kappa_bar
     den = cav.delta**2 + kb**2 - abs(cav.xi) ** 2
     if abs(den) < _POLE_GUARD * kb**2:
         raise SingularityError("degenerate gain evaluated at its pole")
     num = cav.kappa * kb + 1j * cav.kappa * cav.delta
-    num += 1j * cav.kappa * abs(cav.xi) * np.exp(-1j * (psi_p + phase_offset))
+    num += 1j * cav.kappa * abs(cav.xi) * np.exp(-1j * psi_p)
     return complex(num / den)
 
 
@@ -461,7 +439,6 @@ def find_optimal_pump(
     n_f_coarse: int = 41,
     p_step_db: float = 0.25,
     refine_to_hz: float = 1e4,
-    max_refinements: int = 8,
 ) -> PumpSearchResult:
     """Grid search for the cheapest pump setting reaching a target gain.
 
@@ -473,7 +450,8 @@ def find_optimal_pump(
     non-finite or reaches the target.  Only the points a ramp visits count:
     they give the candidates, the best point, ``self_oscillation`` and
     ``n_evaluations``.  The frequency grid is refined tenfold around the best
-    candidate until its spacing is at most ``refine_to_hz``.
+    candidate until its spacing is at most ``refine_to_hz``, at most
+    _MAX_REFINEMENTS times.
     """
     f_lo, f_hi = f_bounds
     p_lo, p_hi = p_bounds_dbm
@@ -522,7 +500,7 @@ def find_optimal_pump(
     p_best, neg_g, f_best = min(candidates)
     g_best = -neg_g
     refinements = 0
-    while step > refine_to_hz and refinements < max_refinements:
+    while step > refine_to_hz and refinements < _MAX_REFINEMENTS:
         lo = max(f_lo, f_best - step)
         hi = min(f_hi, f_best + step)
         step /= 10.0

@@ -11,7 +11,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +174,9 @@ class KerrDominance(NamedTuple):
     dominated_3wm: bool  # True when the Kerr term is negligible
 
 
-def kerr_dominance_check(k_hz: float, kappa_hz: float, threshold: float = 1e-3) -> KerrDominance:
-    """Ratio |K|/kappa (both in ordinary Hz) with a negligibility flag.
+def kerr_dominance_check(k_hz: float, kappa_hz: float) -> KerrDominance:
+    """Ratio |K|/kappa (both in ordinary Hz) with a negligibility flag,
+    set below a ratio of 1e-3.
 
     When the ratio is far below one, a dc-biased drive produces essentially
     pure three-wave mixing.
@@ -183,24 +184,17 @@ def kerr_dominance_check(k_hz: float, kappa_hz: float, threshold: float = 1e-3) 
     if kappa_hz <= 0.0:
         raise DomainError("kappa must be positive")
     ratio = abs(k_hz) / kappa_hz
-    return KerrDominance(ratio=ratio, dominated_3wm=ratio < threshold)
+    return KerrDominance(ratio=ratio, dominated_3wm=ratio < 1e-3)
 
 
-def fit_clem_tuning(
-    data: SweepRecord,
-    f_r0: float,
-    alpha: float,
-    p0: Optional[Sequence[float]] = None,
-    clem_exponent_guess: float = CLEM_EXPONENT_COLD,
-) -> FitResult:
+def fit_clem_tuning(data: SweepRecord, f_r0: float, alpha: float) -> FitResult:
     """Fit (I*, n) of the Clem tuning law to a (bias current, frequency) sweep.
 
-    f_r0 and alpha are held fixed.  Returns a FitResult with params
+    f_r0 and alpha are held fixed.  The fit starts from I* = 3 max|I| and
+    the cold-film exponent.  Returns a FitResult with params
     [i_star, clem_exponent].
     """
-    if p0 is None:
-        p0 = [3.0 * float(np.max(np.abs(data.x))), clem_exponent_guess]
-
     i_max = float(np.max(np.abs(data.x)))
+    p0 = [3.0 * i_max, CLEM_EXPONENT_COLD]
     bounds = (np.array([i_max * 1.0000001, 0.1]), np.array([i_max * 1e3, 10.0]))
     return nlls_fit(lambda i, p: clem_frequency(i, f_r0, alpha, p[0], p[1]), data, p0, bounds=bounds)

@@ -8,7 +8,7 @@ from the model equations, so these run anywhere in milliseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
@@ -69,7 +69,6 @@ class FixtureResult:
     expected: float
     tolerance: float
     passed: bool
-    details: dict = field(default_factory=dict)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -79,7 +78,7 @@ class FixtureResult:
         )
 
 
-def _result(fixture, description, measured, expected, tolerance, **details) -> FixtureResult:
+def _result(fixture, description, measured, expected, tolerance) -> FixtureResult:
     return FixtureResult(
         fixture=fixture,
         description=description,
@@ -87,7 +86,6 @@ def _result(fixture, description, measured, expected, tolerance, **details) -> F
         expected=float(expected),
         tolerance=float(tolerance),
         passed=bool(abs(measured - expected) <= tolerance),
-        details=details,
     )
 
 
@@ -121,7 +119,6 @@ def fx_gbp() -> FixtureResult:
         gbp,
         21.3e6,
         0.6e6,
-        peak_gain_db=25.0,
     )
 
 
@@ -165,14 +162,13 @@ def fx_gx() -> FixtureResult:
         g_db,
         -2.95,
         0.05,
-        s_measured=s,
     )
 
 
 def fx_noise_fit() -> FixtureResult:
     chain = reference_chain()
     rng = np.random.default_rng(0)
-    sweep, truth = synthetic.noise_sweep(
+    sweep, _ = synthetic.noise_sweep(
         chain, REFERENCE_T_KIPA, REFERENCE_F_SIGNAL, REFERENCE_F_SIGNAL, synthetic.vts_setpoint_ladder(), 0.0, rng
     )
     res = noise_cal.fit_added_noise(sweep, chain)
@@ -183,8 +179,6 @@ def fx_noise_fit() -> FixtureResult:
         t_kipa,
         REFERENCE_T_KIPA,
         1e-9,
-        t_add_k=res.t_add,
-        t_add_true_k=truth["t_add_k"],
     )
 
 
@@ -214,7 +208,6 @@ def fx_compression() -> FixtureResult:
         point.p_out_sat_dbm,
         -65.0,
         1.0,
-        p_in_1db_dbm=point.p_in_1db_dbm,
     )
 
 

@@ -31,9 +31,8 @@ class SqueezeBudget:
     photons (half its thermal occupation).  The loss-port occupations n_eta
     and n_gamma default to zero (millikelvin loss channels, overcoupled
     cavity).  g_h, when given, keeps the exact (g_h - 1)/g_h prefactor on
-    n_h instead of the large-gain simplification.  n_kappa2, when given,
-    overrides the second-port vacuum term that is otherwise computed from
-    G_X.
+    n_h instead of the large-gain simplification.  The second-port vacuum
+    term is not a budget entry: it follows from G_X (io_dynamics.n_kappa2_term).
     """
 
     eta: float
@@ -41,7 +40,6 @@ class SqueezeBudget:
     g_h: Optional[float] = None
     n_eta: float = 0.0
     n_gamma: float = 0.0
-    n_kappa2: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -72,7 +70,7 @@ def squeezing_factor(g_x: float, budget: SqueezeBudget) -> float:
     v = VACUUM_VARIANCE
     c = budget.hemt_prefactor
     loss_term = (1.0 - budget.eta) * (v + budget.n_eta / 2.0)
-    n_k2 = n_kappa2_term(g_x, v) if budget.n_kappa2 is None else budget.n_kappa2
+    n_k2 = n_kappa2_term(g_x, v)
     num = (
         g_x * budget.eta * v
         + (g_x - 1.0) * budget.eta * n_k2
@@ -93,12 +91,12 @@ def max_measurable_squeezing(budget: SqueezeBudget) -> float:
     return squeezing_factor(GX_FLOOR, budget)
 
 
-def extract_gx(s_measured: float, budget: SqueezeBudget, tol: float = 1e-12) -> float:
+def extract_gx(s_measured: float, budget: SqueezeBudget) -> float:
     """Invert the squeezing relation for G_X on the physical branch [1/2, 1].
 
     S is strictly increasing in G_X there (the numerator is proportional to
     u^2 + (u-1)^2 with u = sqrt(G_X), whose minimum sits below the branch),
-    so plain bisection converges; ``tol`` is the absolute tolerance on G_X.
+    so plain bisection converges, to an absolute tolerance of 1e-12 on G_X.
     """
     if s_measured > 1.0:
         raise DomainError(f"S = {s_measured} exceeds 1; no deamplification to extract")
@@ -109,7 +107,7 @@ def extract_gx(s_measured: float, budget: SqueezeBudget, tol: float = 1e-12) -> 
             f"S_min = {s_min:.6f} for this budget"
         )
     lo, hi = GX_FLOOR, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if squeezing_factor(mid, budget) < s_measured:
             lo = mid

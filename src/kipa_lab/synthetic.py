@@ -48,7 +48,7 @@ def gain_sweep(
         "xi_hz": xi_hz,
         "f_pump_hz": f_pump_hz,
     }
-    return SweepRecord(f, y, sigma, meta={"kind": "gain_db_vs_f"}), truth
+    return SweepRecord(f, y, sigma), truth
 
 
 def gain_db_model(f: np.ndarray, p: Sequence[float], f_pump_hz: float) -> np.ndarray:
@@ -94,7 +94,7 @@ def noise_sweep(
         sigma = noise_frac * ys
         ys = ys + rng.normal(0.0, sigma)
     truth = {"t_add_k": t_add, "t_kipa_k": t_kipa}
-    return SweepRecord(xs, ys, sigma, meta={"kind": "t_in_vs_p_out"}), truth
+    return SweepRecord(xs, ys, sigma), truth
 
 
 def hemt_sweep(
@@ -119,7 +119,7 @@ def hemt_sweep(
     if noise_frac > 0:
         sigma = noise_frac * ys
         ys = ys + rng.normal(0.0, sigma)
-    return SweepRecord(xs, ys, sigma, meta={"kind": "t_vts_vs_p_out"}), {"t_hemt_k": chain.t_hemt}
+    return SweepRecord(xs, ys, sigma), {"t_hemt_k": chain.t_hemt}
 
 
 def compression_sweep(
@@ -145,7 +145,7 @@ def compression_sweep(
         g = g + rng.normal(0.0, noise_db, p_grid_dbm.size)
     p_1db = p_mid_dbm - softness_db * math.log(depth_db - 1.0)
     truth = {"p_in_1db_dbm": p_1db, "p_out_sat_dbm": p_1db + small_signal_gain_db - 1.0}
-    return SweepRecord(p_grid_dbm, g, sigma, meta={"kind": "gain_db_vs_p_in_dbm"}), truth
+    return SweepRecord(p_grid_dbm, g, sigma), truth
 
 
 def clem_tuning_sweep(
@@ -161,7 +161,7 @@ def clem_tuning_sweep(
         sigma = noise_frac * f
         f = f + rng.normal(0.0, sigma)
     truth = {"i_star_a": res.i_star, "clem_exponent": res.clem_exponent}
-    return SweepRecord(currents_a, f, sigma, meta={"kind": "i_vs_f"}), truth
+    return SweepRecord(currents_a, f, sigma), truth
 
 
 def field_shift_sweep(
@@ -177,7 +177,7 @@ def field_shift_sweep(
         sigma = np.full(b_values_t.size, noise_abs)
         y = y + rng.normal(0.0, noise_abs, b_values_t.size)
     truth = {"theta_b_rad": model.theta_b}
-    return SweepRecord(b_values_t, y, sigma, meta={"kind": "b_vs_relshift"}), truth
+    return SweepRecord(b_values_t, y, sigma), truth
 
 
 @dataclass(frozen=True)

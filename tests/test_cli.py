@@ -67,6 +67,36 @@ def test_missing_config_exits_2(capsys):
     assert code == 2
 
 
+def _gain_text_with(literal):
+    return (CONFIGS / "gain.json").read_text().replace('"f_pump_hz": 1.1347e10', f'"f_pump_hz": {literal}')
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["design"], "[1, 2]", "bad.json"),
+        (["gain"], _gain_text_with("NaN"), "bad.json"),
+        (["gain"], _gain_text_with("Infinity"), "bad.json"),
+        (["gain"], _gain_text_with("-Infinity"), "bad.json"),
+        (
+            ["field-shift", "--synthetic"],
+            (CONFIGS / "field.json").read_text().replace("{", '{"bc_criterion": "nope",', 1),
+            "pair-breaking-gap",
+        ),
+    ],
+    ids=["top-level-array", "nan-literal", "infinity-literal", "minus-infinity-literal", "unknown-bc-criterion"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, argv, text, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    code = cli.main([*argv, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:") and named in lines[0]
+
+
 def test_tune_zero_current(capsys):
     code, doc = run_json(capsys, "tune", "--config", str(CONFIGS / "device.json"), "--current", "0")
     assert code == 0
@@ -223,8 +253,14 @@ def test_compression_flat_sweep_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("x,y\n1,2\n3\n", 3), ("x,y\n1,abc\n", 2), ("x,y,sigma_y\n1,2,0.1\n2,3,\n3,4,0.1\n", 3)],
-    ids=["short-row", "non-numeric-cell", "sigma-blank-on-some-rows"],
+    [
+        ("x,y\n1,2\n3\n", 3),
+        ("x,y\n1,abc\n", 2),
+        ("x,y,sigma_y\n1,2,0.1\n2,3,\n3,4,0.1\n", 3),
+        ("x,y\n-110,21\n-100,nan\n-90,19\n", 3),
+        ("x,y,sigma_y\n-110,21,0.1\n-100,20.5,0.1\n-90,-inf,0.1\n", 4),
+    ],
+    ids=["short-row", "non-numeric-cell", "sigma-blank-on-some-rows", "nan-cell", "inf-cell"],
 )
 def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
     (tmp_path / "bad.csv").write_text(text)

@@ -129,12 +129,6 @@ def test_exact_amplifier_gain_mode():
     assert max_measurable_squeezing(modest) != pytest.approx(max_measurable_squeezing(default), rel=1e-6)
 
 
-def test_n_kappa2_override_field():
-    budget = reference_budget(n_kappa2=0.0)
-    # With the second-port term zeroed, the floor drops further.
-    assert max_measurable_squeezing(budget) < max_measurable_squeezing(reference_budget())
-
-
 def test_budget_validation():
     with pytest.raises(DomainError):
         SqueezeBudget(eta=0.0, n_h=1.0)
