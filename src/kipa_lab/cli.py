@@ -28,7 +28,7 @@ from .fitkit import nlls_fit
 from .io_dynamics import GainCurve
 from .quantities import BOLTZMANN
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
-from .reproduce import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA, run_fixture
+from .reproduce import run_fixture
 
 log = logging.getLogger("kipa_lab")
 
@@ -38,20 +38,24 @@ EXIT_FIT = 3
 EXIT_DOMAIN = 4
 
 
-def _load_config(args) -> dict:
+def _load_config(args):
+    """(config as read, its top level checked against the command's schema)."""
     if args.config is None:
         raise ConfigError("this command requires --config <path>")
-    return cfgmod.load_json(args.config)
+    cfg = cfgmod.load_json(args.config)
+    return cfg, cfgmod.read(cfg, args.command, "")
 
 
 def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None, sweep=None) -> int:
     """Print the bundle of this run, which echoes the inputs and carries any
-    planted truth, and write it with the curve and sweep CSVs under --out."""
+    planted truth, and write it with the curve and sweep CSVs under --out.
+    A result that is not strict JSON is a domain error in either format."""
     if truth:
         results["truth"] = truth
     inputs = {"config": cfg, "seed": args.seed, "synthetic": args.synthetic}
     bundle = make_bundle(args.command, inputs, results, residuals)
-    sys.stdout.write(bundle_csv(bundle) if args.format == "csv" else bundle_json(bundle))
+    text = bundle_json(bundle)
+    sys.stdout.write(bundle_csv(bundle) if args.format == "csv" else text)
     if args.out:
         paths = write_bundle(bundle, args.out, args.format)
         for name, table in (("curve.csv", curve), ("sweep.csv", sweep)):
@@ -63,16 +67,15 @@ def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None
     return EXIT_OK
 
 
-def _sweep(args, cfg: dict, plant):
-    """(sweep, truth): planted by ``plant(synthetic_section, rng)`` under
+def _sweep(args, c: dict, plant):
+    """(sweep, truth): planted by ``plant(synthetic_block, rng)`` under
     --synthetic, else read from the config's sweep_file (relative to the
     config file) with no truth."""
     if args.synthetic:
-        return plant(cfg.get("synthetic", {}), np.random.default_rng(args.seed))
-    path = cfg.get("sweep_file")
-    if path is None:
+        return plant(c["synthetic"], np.random.default_rng(args.seed))
+    if c["sweep_file"] is None:
         raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
-    return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), path)), None
+    return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
 
 
 def _rows(**columns) -> list:
@@ -82,8 +85,8 @@ def _rows(**columns) -> list:
 
 
 def cmd_design(args) -> int:
-    cfg = _load_config(args)
-    sif = cfgmod.parse_sif(cfg.get("sif", cfg))
+    cfg, c = _load_config(args)
+    sif = cfgmod.parse_sif(c["sif"])
     results = {
         "z_eff_ohm": microwave_net.effective_impedance(sif),
         "q_c": microwave_net.coupling_q(sif),
@@ -93,14 +96,14 @@ def cmd_design(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = _load_config(args)
-    res = cfgmod.parse_device(cfg.get("device", cfg)).resonator
+    cfg, c = _load_config(args)
+    res = cfgmod.parse_device(c["device"]).resonator
     results: dict = {}
     residuals = None
     if args.synthetic:
-        syn = cfg.get("synthetic", {})
-        currents = np.linspace(0.0, 0.9 * res.i_sw, int(syn.get("n_points", 25)))
-        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn.get("noise_frac", 1e-4), np.random.default_rng(args.seed))
+        syn = c["synthetic"]
+        currents = np.linspace(0.0, 0.9 * res.i_sw, syn["n_points"])
+        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn["noise_frac"], np.random.default_rng(args.seed))
         fit = ki_device.fit_clem_tuning(sweep, res.f_r0, res.alpha)
         model_f = ki_device.clem_frequency(sweep.x, res.f_r0, res.alpha, *fit.params)
         residuals = _rows(x=sweep.x, y=sweep.y, model=model_f, residual=sweep.y - model_f)
@@ -111,24 +114,26 @@ def cmd_tune(args) -> int:
             "converged": fit.converged,
             "truth": truth,
         }
-    current = args.current if args.current is not None else cfg.get("bias_current_a", 0.0)
+    current = args.current if args.current is not None else c["bias_current_a"]
     results["bias_current_a"] = current
     results["f_hz"] = float(ki_device.resonance_vs_bias(current, res))
     return _emit(args, cfg, results, residuals)
 
 
 def cmd_gain(args) -> int:
-    cfg = _load_config(args)
-    cav = cfgmod.parse_cavity(cfg.get("cavity", cfg))
-    grid = cfg.get("grid", {})
-    center = grid.get("center_hz", cav.f_pump / 2.0)
-    span = grid.get("span_hz", 20.0 * cav.kappa / (2.0 * math.pi))
-    n = int(grid.get("n_points", 2001))
-    f = np.linspace(center - span / 2.0, center + span / 2.0, n)
+    cfg, c = _load_config(args)
+    cav = cfgmod.parse_cavity(c["cavity"])
+    grid = c["grid"]
+    center = cav.f_pump / 2.0 if grid["center_hz"] is None else grid["center_hz"]
+    span = 20.0 * cav.kappa / (2.0 * math.pi) if grid["span_hz"] is None else grid["span_hz"]
+    n = grid["n_points"]
     results = {"stable": cav.is_stable, "peak_gain_db": None, "peak_f_hz": None, "gbp_hz": None}
     curve = None
     if cav.is_stable:
-        curve = GainCurve.from_cavity(cav, f)
+        with np.errstate(all="ignore"):
+            curve = GainCurve.from_cavity(cav, np.linspace(center - span / 2.0, center + span / 2.0, n))
+        if not np.isfinite(curve.power_gain_db).all():
+            raise DomainError(f"the gain curve is not finite on the grid of {n} points over {span:g} Hz around {center:g} Hz")
         i_pk = int(np.argmax(curve.power_gain_db))
         results["peak_gain_db"] = float(curve.power_gain_db[i_pk])
         results["peak_f_hz"] = float(curve.f_hz[i_pk])
@@ -140,13 +145,12 @@ def cmd_gain(args) -> int:
         results["status"] = "no steady state: |xi|^2 >= kappa_bar^2 + Delta^2, so the gain has no peak or bandwidth"
     residuals = None
     if args.synthetic:
-        syn = cfg.get("synthetic", {})
         kappa_hz = cav.kappa / (2.0 * math.pi)
         gamma_hz = cav.gamma / (2.0 * math.pi)
         delta_hz = cav.delta / (2.0 * math.pi)
         xi_frac = abs(cav.xi) / (2.0 * math.pi) / (kappa_hz + gamma_hz / 2.0)
         sweep, truth = synthetic.gain_sweep(
-            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, syn.get("noise_db", 0.1), np.random.default_rng(args.seed)
+            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, c["synthetic"]["noise_db"], np.random.default_rng(args.seed)
         )
         p0 = [kappa_hz * 1.05, gamma_hz + 0.01 * kappa_hz, delta_hz + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
         fit = nlls_fit(lambda x, p: synthetic.gain_db_model(x, p, cav.f_pump), sweep, p0)
@@ -169,25 +173,12 @@ def cmd_gain(args) -> int:
 
 
 def cmd_pump_search(args) -> int:
-    cfg = _load_config(args)
-    m = cfg.get("map", cfg)
-    f_r = m.get("f_r_hz", REFERENCE_F_SIGNAL)
-    law = synthetic.PumpMap(
-        kappa_hz=m.get("kappa_hz", 19.8e6),
-        gamma_hz=m.get("gamma_hz", 0.0),
-        f_r_hz=f_r,
-        xi_hz_per_sqrt_mw=m.get("xi_hz_per_sqrt_mw", 1e9),
-    )
-    search = cfg.get("search", {})
-    result = io_dynamics.find_optimal_pump(
-        law.peak_gain_db,
-        target_db=search.get("target_db", 20.0),
-        f_bounds=tuple(search.get("f_bounds_hz", [2.0 * f_r - 2e8, 2.0 * f_r + 2e8])),
-        p_bounds_dbm=tuple(search.get("p_bounds_dbm", [-60.0, -40.0])),
-        n_f_coarse=int(search.get("n_f_coarse", 41)),
-        p_step_db=search.get("p_step_db", 0.25),
-        refine_to_hz=search.get("refine_to_hz", 1e4),
-    )
+    cfg, c = _load_config(args)
+    law = synthetic.PumpMap(**c["map"])
+    search = c["search"]
+    if search["f_bounds"] is None:
+        search["f_bounds"] = [2.0 * law.f_r_hz - 2e8, 2.0 * law.f_r_hz + 2e8]
+    result = io_dynamics.find_optimal_pump(law.peak_gain_db, **search)
     code = _emit(args, cfg, dataclasses.asdict(result))
     if not result.success:
         log.warning("pump search failed: %s", result.message)
@@ -195,37 +186,25 @@ def cmd_pump_search(args) -> int:
 
 
 def cmd_compression(args) -> int:
-    cfg = _load_config(args)
-    ssg = cfg.get("small_signal_gain_db", 21.0)
+    cfg, c = _load_config(args)
+    ssg = c["small_signal_gain_db"]
 
     def plant(syn, rng):
-        grid = np.linspace(syn.get("p_min_dbm", -110.0), syn.get("p_max_dbm", -70.0), int(syn.get("n_points", 161)))
+        grid = np.linspace(syn["p_min_dbm"], syn["p_max_dbm"], syn["n_points"])
         return synthetic.compression_sweep(
-            ssg, syn.get("p_mid_dbm", -83.0), syn.get("softness_db", 1.5), syn.get("depth_db", 6.0), grid, syn.get("noise_db", 0.0), rng
+            ssg, syn["p_mid_dbm"], syn["softness_db"], syn["depth_db"], grid, syn["noise_db"], rng
         )
 
-    sweep, truth = _sweep(args, cfg, plant)
+    sweep, truth = _sweep(args, c, plant)
     point = io_dynamics.compression_point(sweep, ssg)
     return _emit(args, cfg, {"small_signal_gain_db": ssg, **point._asdict()}, truth=truth, sweep=sweep)
 
 
 def cmd_noise_fit(args) -> int:
-    cfg = _load_config(args)
-    chain = cfgmod.parse_chain(cfg.get("chain", cfg))
-
-    def plant(syn, rng):
-        return synthetic.noise_sweep(
-            chain,
-            syn.get("t_kipa_k", REFERENCE_T_KIPA),
-            syn.get("f_signal_hz", REFERENCE_F_SIGNAL),
-            syn.get("f_idler_hz", REFERENCE_F_SIGNAL),
-            syn.get("t_vts_k", synthetic.vts_setpoint_ladder()),
-            syn.get("noise_frac", 0.0),
-            rng,
-        )
-
-    sweep, truth = _sweep(args, cfg, plant)
-    fit = noise_cal.fit_added_noise(sweep, chain, free_slope=bool(cfg.get("free_slope", False)))
+    cfg, c = _load_config(args)
+    chain = cfgmod.parse_chain(c["chain"])
+    sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
+    fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     y_model = sweep.x + fit.t_add + chain.t_bkg / (chain.g_hemt * chain.g)
     scale = chain.g_tot * BOLTZMANN * chain.bandwidth
@@ -235,25 +214,19 @@ def cmd_noise_fit(args) -> int:
 
 
 def cmd_hemt_fit(args) -> int:
-    cfg = _load_config(args)
-    chain = cfgmod.parse_chain(cfg.get("chain", cfg))
-    f_signal = cfg.get("f_signal_hz", REFERENCE_F_SIGNAL)
-
-    def plant(syn, rng):
-        ladder = syn.get("t_vts_k", synthetic.vts_setpoint_ladder(0.1, 3.0))
-        return synthetic.hemt_sweep(chain, f_signal, ladder, syn.get("noise_frac", 0.0), rng)
-
-    sweep, truth = _sweep(args, cfg, plant)
-    fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, free_slope=bool(cfg.get("free_slope", False)))
+    cfg, c = _load_config(args)
+    chain = cfgmod.parse_chain(c["chain"])
+    f_signal = c["f_signal_hz"]
+    sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn))
+    fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"])
     results = {"t_hemt_k": fit.t_hemt, "t_hemt_sigma_k": fit.t_hemt_sigma, "slope": fit.slope}
     return _emit(args, cfg, results, truth=truth, sweep=sweep)
 
 
 def cmd_chain_propagate(args) -> int:
-    cfg = _load_config(args)
-    chain = cfgmod.parse_chain(cfg.get("chain", cfg))
-    n_in = cfg.get("n_in_photons", 0.5)
-    f_hz = cfg.get("f_hz", REFERENCE_F_SIGNAL)
+    cfg, c = _load_config(args)
+    chain = cfgmod.parse_chain(c["chain"])
+    n_in, f_hz = c["n_in_photons"], c["f_hz"]
     trace = noise_cal.propagate_chain(n_in, chain.elements, f_hz)
     residuals = [
         {"index": i, "label": e.label, "value_db": e.value_db, "temperature_k": e.physical_temperature, "n_photons": n}
@@ -264,11 +237,11 @@ def cmd_chain_propagate(args) -> int:
 
 
 def cmd_squeeze(args) -> int:
-    cfg = _load_config(args)
-    budget = cfgmod.parse_budget(cfg.get("budget", cfg))
+    cfg, c = _load_config(args)
+    budget = cfgmod.parse_budget(c["budget"])
     results = {"s_min": squeeze.max_measurable_squeezing(budget)}
-    g_x_db = args.gx_db if args.gx_db is not None else cfg.get("g_x_db")
-    s_measured = args.s if args.s is not None else cfg.get("s_measured")
+    g_x_db = args.gx_db if args.gx_db is not None else c["g_x_db"]
+    s_measured = args.s if args.s is not None else c["s_measured"]
     if g_x_db is not None:
         results["g_x_db"] = g_x_db
         results["s"] = squeeze.squeezing_factor(10.0 ** (g_x_db / 10.0), budget)
@@ -281,17 +254,15 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_field_shift(args) -> int:
-    cfg = _load_config(args)
-    model = cfgmod.parse_field_model(cfg.get("field_model", cfg))
+    cfg, c = _load_config(args)
+    model = cfgmod.parse_field_model(c["field_model"])
 
     def plant(syn, rng):
-        b = np.linspace(syn.get("b_min_t", 0.0), syn.get("b_max_t", 6.0), int(syn.get("n_points", 13)))
-        return synthetic.field_shift_sweep(model, b, syn.get("noise_abs", 0.0), rng)
+        b = np.linspace(syn["b_min_t"], syn["b_max_t"], syn["n_points"])
+        return synthetic.field_shift_sweep(model, b, syn["noise_abs"], rng)
 
-    sweep, truth = _sweep(args, cfg, plant)
-    fit = env_models.fit_field_shift(
-        sweep, model, estimate_theta=bool(cfg.get("estimate_theta", True)), bc_criterion=cfg.get("bc_criterion")
-    )
+    sweep, truth = _sweep(args, c, plant)
+    fit = env_models.fit_field_shift(sweep, model, **c["fit"])
     results = {
         "curvature_per_t2": fit.curvature,
         "curvature_sigma_per_t2": fit.curvature_sigma,
@@ -304,27 +275,28 @@ def cmd_field_shift(args) -> int:
 
 
 def cmd_temp_shift(args) -> int:
-    cfg = _load_config(args)
-    model = cfgmod.parse_temp_model(cfg.get("temp_model", cfg))
-    f_r = cfg.get("f_r_hz", REFERENCE_F_SIGNAL)
+    cfg, c = _load_config(args)
+    model = cfgmod.parse_temp_model(c["temp_model"])
+    f_r = c["f_r_hz"]
+    temperatures = np.linspace(0.05, 0.4 * model.t_c, 36) if c["temperatures_k"] is None else c["temperatures_k"]
     rows = []
-    for t in cfg.get("temperatures_k", np.linspace(0.05, 0.4 * model.t_c, 36)):
+    for t in temperatures:
         rel = env_models.temp_frequency_shift(float(t), f_r, model)
         rows.append({"t_k": float(t), "rel_shift": rel, "delta_f_hz": rel * f_r})
     return _emit(args, cfg, {"f_r_hz": f_r, "n_points": len(rows)}, rows)
 
 
 def cmd_device_temp(args) -> int:
-    cfg = _load_config(args)
-    model = cfgmod.parse_temp_model(cfg.get("temp_model", cfg))
-    f_r = cfg.get("f_r_hz", REFERENCE_F_SIGNAL)
-    if "delta_omega_rel" in cfg:
-        rel = cfg["delta_omega_rel"]
-    elif "delta_f_hz" in cfg:
-        rel = cfg["delta_f_hz"] / f_r
+    cfg, c = _load_config(args)
+    model = cfgmod.parse_temp_model(c["temp_model"])
+    f_r = c["f_r_hz"]
+    if c["delta_omega_rel"] is not None:
+        rel = c["delta_omega_rel"]
+    elif c["delta_f_hz"] is not None:
+        rel = c["delta_f_hz"] / f_r
     else:
         raise ConfigError("device-temp needs delta_omega_rel or delta_f_hz")
-    t = env_models.device_temp_from_shift(rel, f_r, model, t_min=cfg.get("t_min_k", 0.02), t_max=cfg.get("t_max_k"))
+    t = env_models.device_temp_from_shift(rel, f_r, model, **c["solve"])
     return _emit(args, cfg, {"t_dev_k": t, "rel_shift": rel})
 
 
@@ -399,7 +371,7 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except DomainError as exc:
+    except (DomainError, ArithmeticError) as exc:  # a float out of range is outside the domain too
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except KipaLabError as exc:  # pragma: no cover - unexpected subclass

@@ -1,9 +1,10 @@
-"""Configuration ingestion: JSON documents for devices, filters, chains,
-budgets and models, plus the canonical config hash.
+"""Configuration ingestion: the config format as one schema table, the
+reader that checks a block against it, the parsers that build library
+objects from checked blocks, and the canonical config hash.
 
 All dB fields end in ``_db`` (power convention), SI fields carry their unit
-as a suffix.  Nested documents are inlined; measured sweeps are CSV files
-named by a ``sweep_file`` key, relative to the config file.
+as a suffix.  Each block is read only under its own name; measured sweeps
+are CSV files named by a ``sweep_file`` key, relative to the config file.
 """
 
 from __future__ import annotations
@@ -19,18 +20,35 @@ from .io_dynamics import PumpedCavity
 from .ki_device import DeviceParams, FilmParams, ResonatorParams
 from .microwave_net import SifDesign
 from .noise_cal import ChainElement, ReceiverChain
+from .reproduce import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA
 from .squeeze import SqueezeBudget
+from .synthetic import vts_setpoint_ladder
+
+#: Upper bound of every count and list length: points per sweep.
+MAX_POINTS = 10**6
 
 
 def load_json(path) -> dict:
-    """Read a config file: one JSON object, strict JSON (no NaN or Infinity)."""
+    """Read a config file: one JSON object, strict JSON (no NaN or Infinity,
+    no number literal beyond the range of a finite double)."""
 
     def reject(literal):
         raise ConfigError(f"config {path} is not strict JSON: {literal} is not a number")
 
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            shown = literal if len(literal) <= 24 else f"{literal[:12]}... ({len(literal)} characters)"
+            raise ConfigError(f"config {path}: number literal {shown} does not fit a finite double")
+        return value
+
+    def integer(literal: str) -> int:
+        finite(literal)
+        return int(literal)
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_constant=reject)
+            cfg = json.load(fh, parse_constant=reject, parse_float=finite, parse_int=integer)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -47,158 +65,343 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _get(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    return d[key]
+# ---------------------------------------------------------------- value kinds
+#
+# A kind checks one JSON value at a key path and returns what is passed on.
+# Numbers, counts and booleans are disjoint: a JSON true is not a number,
+# and 2.0 is not a count.
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(want: str, test):
+    """The kind of the values that pass ``test``, described as ``want``."""
+
+    def check(value, path: str):
+        if not test(value):
+            got = {bool: "a boolean", str: "a string", dict: "an object"}.get(type(value), "null")
+            if _is_number(value) or isinstance(value, list):
+                got = repr(value) if _is_number(value) else f"an array of {len(value)} items"
+            raise ConfigError(f"{path} must be {want}, not {got}")
+        return value
+
+    return check
+
+
+def _list(item, lo: int, hi: int, want: str):
+    """Arrays of ``lo`` to ``hi`` values of the kind ``item``."""
+    whole = _kind(want, lambda v: isinstance(v, list) and lo <= len(v) <= hi)
+    return lambda value, path: [item(v, f"{path}[{i}]") for i, v in enumerate(whole(value, path))]
+
+
+def _block(name: str):
+    """The kind of the objects read against SCHEMA[name]."""
+    return lambda value, path: read(value, name, path)
+
+
+def DB(value, path: str) -> float:
+    """A number in dB, passed on as the linear power ratio."""
+    try:
+        return 10.0 ** (NUMBER(value, path) / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{path} = {value} dB overflows a power ratio") from None
+
+
+NUMBER = _kind("a number", _is_number)
+BOOLEAN = _kind("true or false", lambda v: isinstance(v, bool))
+STRING = _kind("a string", lambda v: isinstance(v, str))
+OBJECT = _kind("an object", lambda v: isinstance(v, dict))  # passed on unread, to its block's parser
+POINTS = _kind(f"an integer from 1 to {MAX_POINTS}", lambda v: type(v) is int and 1 <= v <= MAX_POINTS)
+SECTIONS = _kind(f"an integer from 0 to {MAX_POINTS}", lambda v: type(v) is int and 0 <= v <= MAX_POINTS)
+NUMBERS = _list(NUMBER, 1, MAX_POINTS, f"an array of 1 to {MAX_POINTS} numbers")
+PAIR = _list(NUMBER, 2, 2, "an array of two numbers")
+
+# Defaults: REQUIRED keys must be given; an OPTIONAL key that is left out is
+# not passed on, so the callee's own default applies; None marks a default
+# the command derives from other values.
+REQUIRED = "<required>"
+OPTIONAL = "<optional>"
+
+# ---------------------------------------------------------------- the schema
+#
+# block -> key -> (kind, default, keyword the value is passed on as).  A
+# keyword "group.name" collects the value under out["group"]["name"].
+SCHEMA = {
+    "film": {
+        "sheet_kinetic_inductance_h_per_sq": (NUMBER, REQUIRED, "sheet_kinetic_inductance"),
+        "thickness_m": (NUMBER, REQUIRED, "thickness"),
+        "critical_temperature_k": (NUMBER, REQUIRED, "critical_temperature"),
+        "diffusion_coefficient_m2_per_s": (NUMBER, REQUIRED, "diffusion_coefficient"),
+        "sheet_resistance_rt_ohm_per_sq": (NUMBER, OPTIONAL, "sheet_resistance_rt"),
+    },
+    "resonator": {
+        "l_k0_h": (NUMBER, REQUIRED, "l_k0"),
+        "l_t_h": (NUMBER, REQUIRED, "l_t"),
+        "i_star_a": (NUMBER, REQUIRED, "i_star"),
+        "i_sw_a": (NUMBER, REQUIRED, "i_sw"),
+        "clem_exponent": (NUMBER, OPTIONAL, "clem_exponent"),
+        "f_r0_hz": (NUMBER, OPTIONAL, "f_r0"),
+        "alpha": (NUMBER, OPTIONAL, "alpha"),
+        "z_r_ohm": (NUMBER, OPTIONAL, "z_r"),
+        "center_width_m": (NUMBER, OPTIONAL, "center_width"),
+    },
+    "device": {
+        "film": (OBJECT, REQUIRED, "film"),
+        "resonator": (OBJECT, REQUIRED, "resonator"),
+    },
+    "sif": {
+        "z_l_ohm": (NUMBER, REQUIRED, "z_l"),
+        "z_h_ohm": (NUMBER, REQUIRED, "z_h"),
+        "n_l": (SECTIONS, REQUIRED, "n_l"),
+        "n_h": (SECTIONS, REQUIRED, "n_h"),
+        "z_0_ohm": (NUMBER, REQUIRED, "z_0"),
+        "z_r_ohm": (NUMBER, REQUIRED, "z_r"),
+        "f_0_hz": (NUMBER, REQUIRED, "f_0"),
+    },
+    "chain": {
+        "elements": (_list(_block("chain element"), 0, MAX_POINTS, "an array of objects"), [], "elements"),
+        "eta_e_db": (DB, REQUIRED, "eta_e"),
+        "eta_il_db": (DB, REQUIRED, "eta_il"),
+        "kipa_gain_db": (DB, REQUIRED, "g"),
+        "hemt_gain_db": (DB, REQUIRED, "g_hemt"),
+        "total_output_gain_db": (DB, REQUIRED, "g_tot"),
+        "t_hemt_k": (NUMBER, REQUIRED, "t_hemt"),
+        "t_bkg_k": (NUMBER, OPTIONAL, "t_bkg"),
+        "bandwidth_hz": (NUMBER, OPTIONAL, "bandwidth"),
+        "eta_db": (DB, OPTIONAL, "eta_explicit"),
+        "il_asymmetry_db": (NUMBER, OPTIONAL, "il_asymmetry_db"),
+    },
+    "chain element": {
+        "kind": (STRING, REQUIRED, "kind"),
+        "value_db": (NUMBER, REQUIRED, "value_db"),
+        "temperature_k": (NUMBER, REQUIRED, "physical_temperature"),
+        "label": (STRING, OPTIONAL, "label"),
+    },
+    "cavity": {
+        "kappa_hz": (NUMBER, REQUIRED, "kappa_hz"),
+        "gamma_hz": (NUMBER, 0.0, "gamma_hz"),
+        "delta_hz": (NUMBER, 0.0, "delta_hz"),
+        "xi_hz": (NUMBER, None, "xi_hz"),
+        "xi_frac_of_kbar": (NUMBER, None, "xi_frac_of_kbar"),
+        "xi_phase_rad": (NUMBER, -math.pi / 2.0, "xi_phase_rad"),
+        "f_pump_hz": (NUMBER, REQUIRED, "f_pump_hz"),
+    },
+    "budget": {
+        "eta_db": (DB, REQUIRED, "eta"),
+        "n_hemt_photons": (NUMBER, REQUIRED, "n_h"),
+        "hemt_gain_db": (DB, OPTIONAL, "g_h"),
+        "n_eta_photons": (NUMBER, OPTIONAL, "n_eta"),
+        "n_gamma_photons": (NUMBER, OPTIONAL, "n_gamma"),
+    },
+    "field_model": {
+        "diffusion_coefficient_m2_per_s": (NUMBER, REQUIRED, "diffusion"),
+        "thickness_m": (NUMBER, REQUIRED, "thickness"),
+        "critical_temperature_k": (NUMBER, REQUIRED, "t_c"),
+        "center_width_m": (NUMBER, REQUIRED, "center_width"),
+        "theta_b_rad": (NUMBER, OPTIONAL, "theta_b"),
+        "b_c_parallel_t": (NUMBER, OPTIONAL, "b_c_parallel"),
+        "delta_0_j": (NUMBER, OPTIONAL, "delta_0"),
+    },
+    "temp_model": {
+        "f_delta_tls": (NUMBER, REQUIRED, "f_delta_tls"),
+        "alpha": (NUMBER, REQUIRED, "alpha"),
+        "critical_temperature_k": (NUMBER, REQUIRED, "t_c"),
+        "c4": (NUMBER, OPTIONAL, "c4"),
+        "t_ref_k": (NUMBER, OPTIONAL, "t_ref"),
+    },
+    # The top level of each command's config, with the blocks only it reads.
+    "design": {"sif": (OBJECT, REQUIRED, "sif")},
+    "tune": {
+        "device": (OBJECT, REQUIRED, "device"),
+        "bias_current_a": (NUMBER, 0.0, "bias_current_a"),
+        "synthetic": (_block("tune synthetic"), {}, "synthetic"),
+    },
+    "tune synthetic": {
+        "n_points": (POINTS, 25, "n_points"),
+        "noise_frac": (NUMBER, 1e-4, "noise_frac"),
+    },
+    "gain": {
+        "cavity": (OBJECT, REQUIRED, "cavity"),
+        "grid": (_block("gain grid"), {}, "grid"),
+        "synthetic": (_block("gain synthetic"), {}, "synthetic"),
+    },
+    "gain grid": {
+        "center_hz": (NUMBER, None, "center_hz"),
+        "span_hz": (NUMBER, None, "span_hz"),
+        "n_points": (POINTS, 2001, "n_points"),
+    },
+    "gain synthetic": {"noise_db": (NUMBER, 0.1, "noise_db")},
+    "pump-search": {
+        "map": (_block("pump map"), REQUIRED, "map"),
+        "search": (_block("pump search"), {}, "search"),
+    },
+    "pump map": {
+        "kappa_hz": (NUMBER, 19.8e6, "kappa_hz"),
+        "gamma_hz": (NUMBER, 0.0, "gamma_hz"),
+        "f_r_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_r_hz"),
+        "xi_hz_per_sqrt_mw": (NUMBER, 1e9, "xi_hz_per_sqrt_mw"),
+    },
+    "pump search": {
+        "target_db": (NUMBER, 20.0, "target_db"),
+        "f_bounds_hz": (PAIR, None, "f_bounds"),
+        "p_bounds_dbm": (PAIR, [-60.0, -40.0], "p_bounds_dbm"),
+        "n_f_coarse": (POINTS, OPTIONAL, "n_f_coarse"),
+        "p_step_db": (NUMBER, OPTIONAL, "p_step_db"),
+        "refine_to_hz": (NUMBER, OPTIONAL, "refine_to_hz"),
+    },
+    "compression": {
+        "small_signal_gain_db": (NUMBER, 21.0, "small_signal_gain_db"),
+        "sweep_file": (STRING, None, "sweep_file"),
+        "synthetic": (_block("compression synthetic"), {}, "synthetic"),
+    },
+    "compression synthetic": {
+        "p_min_dbm": (NUMBER, -110.0, "p_min_dbm"),
+        "p_max_dbm": (NUMBER, -70.0, "p_max_dbm"),
+        "n_points": (POINTS, 161, "n_points"),
+        "p_mid_dbm": (NUMBER, -83.0, "p_mid_dbm"),
+        "softness_db": (NUMBER, 1.5, "softness_db"),
+        "depth_db": (NUMBER, 6.0, "depth_db"),
+        "noise_db": (NUMBER, 0.0, "noise_db"),
+    },
+    "noise-fit": {
+        "chain": (OBJECT, REQUIRED, "chain"),
+        "sweep_file": (STRING, None, "sweep_file"),
+        "free_slope": (BOOLEAN, OPTIONAL, "fit.free_slope"),
+        "synthetic": (_block("noise-fit synthetic"), {}, "synthetic"),
+    },
+    "noise-fit synthetic": {
+        "t_kipa_k": (NUMBER, REFERENCE_T_KIPA, "t_kipa"),
+        "f_signal_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_signal_hz"),
+        "f_idler_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_idler_hz"),
+        "t_vts_k": (NUMBERS, vts_setpoint_ladder(), "t_vts_values"),
+        "noise_frac": (NUMBER, 0.0, "noise_frac"),
+    },
+    "hemt-fit": {
+        "chain": (OBJECT, REQUIRED, "chain"),
+        "sweep_file": (STRING, None, "sweep_file"),
+        "f_signal_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_signal_hz"),
+        "free_slope": (BOOLEAN, OPTIONAL, "fit.free_slope"),
+        "synthetic": (_block("hemt-fit synthetic"), {}, "synthetic"),
+    },
+    "hemt-fit synthetic": {
+        "t_vts_k": (NUMBERS, vts_setpoint_ladder(0.1, 3.0), "t_vts_values"),
+        "noise_frac": (NUMBER, 0.0, "noise_frac"),
+    },
+    "chain-propagate": {
+        "chain": (OBJECT, REQUIRED, "chain"),
+        "n_in_photons": (NUMBER, 0.5, "n_in_photons"),
+        "f_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_hz"),
+    },
+    "squeeze": {
+        "budget": (OBJECT, REQUIRED, "budget"),
+        "g_x_db": (NUMBER, None, "g_x_db"),
+        "s_measured": (NUMBER, None, "s_measured"),
+    },
+    "field-shift": {
+        "field_model": (OBJECT, REQUIRED, "field_model"),
+        "sweep_file": (STRING, None, "sweep_file"),
+        "estimate_theta": (BOOLEAN, OPTIONAL, "fit.estimate_theta"),
+        "bc_criterion": (STRING, OPTIONAL, "fit.bc_criterion"),
+        "synthetic": (_block("field-shift synthetic"), {}, "synthetic"),
+    },
+    "field-shift synthetic": {
+        "b_min_t": (NUMBER, 0.0, "b_min_t"),
+        "b_max_t": (NUMBER, 6.0, "b_max_t"),
+        "n_points": (POINTS, 13, "n_points"),
+        "noise_abs": (NUMBER, 0.0, "noise_abs"),
+    },
+    "temp-shift": {
+        "temp_model": (OBJECT, REQUIRED, "temp_model"),
+        "f_r_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_r_hz"),
+        "temperatures_k": (NUMBERS, None, "temperatures_k"),
+    },
+    "device-temp": {
+        "temp_model": (OBJECT, REQUIRED, "temp_model"),
+        "f_r_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_r_hz"),
+        "delta_omega_rel": (NUMBER, None, "delta_omega_rel"),
+        "delta_f_hz": (NUMBER, None, "delta_f_hz"),
+        "t_min_k": (NUMBER, OPTIONAL, "solve.t_min"),
+        "t_max_k": (NUMBER, OPTIONAL, "solve.t_max"),
+    },
+}
+
+
+def read(d, name: str, where: str) -> dict:
+    """Check the object ``d``, found at key path ``where``, against block
+    ``name`` of SCHEMA and return its values by keyword, defaults applied.
+
+    Keys the block does not list are ignored.  A violation is a ConfigError
+    naming the key path.
+    """
+    OBJECT(d, where or "the config")
+    out: dict = {}
+    for key, (kind, default, keyword) in SCHEMA[name].items():
+        path = f"{where}.{key}" if where else key
+        group, _, keyword = keyword.rpartition(".")
+        target = out.setdefault(group, {}) if group else out
+        if key in d:
+            target[keyword] = kind(d[key], path)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {path}")
+        elif default is not OPTIONAL:
+            target[keyword] = None if default is None else kind(default, path)
+    return out
+
+
+def _build(make, where: str, kwargs: dict):
+    """``make(**kwargs)``, with a domain violation reported as a
+    configuration error of the block at ``where``."""
+    try:
+        return make(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def parse_film(d: dict) -> FilmParams:
-    try:
-        return FilmParams(
-            sheet_kinetic_inductance=_get(d, "sheet_kinetic_inductance_h_per_sq", "film"),
-            thickness=_get(d, "thickness_m", "film"),
-            critical_temperature=_get(d, "critical_temperature_k", "film"),
-            diffusion_coefficient=_get(d, "diffusion_coefficient_m2_per_s", "film"),
-            sheet_resistance_rt=d.get("sheet_resistance_rt_ohm_per_sq", 0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad film parameters: {exc}") from exc
+    return _build(FilmParams, "device.film", read(d, "film", "device.film"))
 
 
 def parse_resonator(d: dict) -> ResonatorParams:
-    try:
-        return ResonatorParams(
-            l_k0=_get(d, "l_k0_h", "resonator"),
-            l_t=_get(d, "l_t_h", "resonator"),
-            i_star=_get(d, "i_star_a", "resonator"),
-            i_sw=_get(d, "i_sw_a", "resonator"),
-            clem_exponent=d.get("clem_exponent", 2.21),
-            f_r0=d.get("f_r0_hz", 0.0),
-            alpha=d.get("alpha", 1.0),
-            z_r=d.get("z_r_ohm", 50.0),
-            center_width=d.get("center_width_m", 0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad resonator parameters: {exc}") from exc
+    return _build(ResonatorParams, "device.resonator", read(d, "resonator", "device.resonator"))
 
 
 def parse_device(d: dict) -> DeviceParams:
-    return DeviceParams(film=parse_film(_get(d, "film", "device")), resonator=parse_resonator(_get(d, "resonator", "device")))
+    blocks = read(d, "device", "device")
+    return DeviceParams(film=parse_film(blocks["film"]), resonator=parse_resonator(blocks["resonator"]))
 
 
 def parse_sif(d: dict) -> SifDesign:
-    try:
-        return SifDesign(
-            z_l=_get(d, "z_l_ohm", "sif"),
-            z_h=_get(d, "z_h_ohm", "sif"),
-            n_l=int(_get(d, "n_l", "sif")),
-            n_h=int(_get(d, "n_h", "sif")),
-            z_0=_get(d, "z_0_ohm", "sif"),
-            z_r=_get(d, "z_r_ohm", "sif"),
-            f_0=_get(d, "f_0_hz", "sif"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad filter design: {exc}") from exc
+    return _build(SifDesign, "sif", read(d, "sif", "sif"))
 
 
 def parse_chain(d: dict) -> ReceiverChain:
-    elements = []
-    for e in d.get("elements", []):
-        try:
-            elements.append(
-                ChainElement(
-                    kind=_get(e, "kind", "chain element"),
-                    value_db=_get(e, "value_db", "chain element"),
-                    physical_temperature=_get(e, "temperature_k", "chain element"),
-                    label=e.get("label", ""),
-                )
-            )
-        except DomainError as exc:
-            raise ConfigError(f"bad chain element: {exc}") from exc
-    eta_db = d.get("eta_db")
-    try:
-        return ReceiverChain(
-            eta_e=10.0 ** (_get(d, "eta_e_db", "chain") / 10.0),
-            eta_il=10.0 ** (_get(d, "eta_il_db", "chain") / 10.0),
-            g=10.0 ** (_get(d, "kipa_gain_db", "chain") / 10.0),
-            g_hemt=10.0 ** (_get(d, "hemt_gain_db", "chain") / 10.0),
-            g_tot=10.0 ** (_get(d, "total_output_gain_db", "chain") / 10.0),
-            t_hemt=_get(d, "t_hemt_k", "chain"),
-            t_bkg=d.get("t_bkg_k", 300.0),
-            bandwidth=d.get("bandwidth_hz", 100.0),
-            elements=elements,
-            eta_explicit=None if eta_db is None else 10.0 ** (eta_db / 10.0),
-            il_asymmetry_db=d.get("il_asymmetry_db", 0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad receiver chain: {exc}") from exc
+    kw = read(d, "chain", "chain")
+    kw["elements"] = [_build(ChainElement, f"chain.elements[{i}]", e) for i, e in enumerate(kw["elements"])]
+    return _build(ReceiverChain, "chain", kw)
 
 
 def parse_cavity(d: dict) -> PumpedCavity:
-    kappa_hz = _get(d, "kappa_hz", "cavity")
-    gamma_hz = d.get("gamma_hz", 0.0)
-    kbar_hz = kappa_hz + gamma_hz / 2.0
-    if "xi_hz" in d:
-        xi_hz = d["xi_hz"]
-    elif "xi_frac_of_kbar" in d:
-        xi_hz = d["xi_frac_of_kbar"] * kbar_hz
-    else:
+    kw = read(d, "cavity", "cavity")
+    xi_hz, xi_frac, phase = kw.pop("xi_hz"), kw.pop("xi_frac_of_kbar"), kw.pop("xi_phase_rad")
+    if xi_hz is None and xi_frac is None:
         raise ConfigError("cavity needs xi_hz or xi_frac_of_kbar")
-    phase = d.get("xi_phase_rad", -math.pi / 2.0)
-    xi = xi_hz * complex(math.cos(phase), math.sin(phase))
-    try:
-        return PumpedCavity.from_ordinary(
-            kappa_hz=kappa_hz,
-            gamma_hz=gamma_hz,
-            delta_hz=d.get("delta_hz", 0.0),
-            xi=xi,
-            f_pump_hz=_get(d, "f_pump_hz", "cavity"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad cavity parameters: {exc}") from exc
+    if xi_hz is None:
+        xi_hz = xi_frac * (kw["kappa_hz"] + kw["gamma_hz"] / 2.0)
+    return _build(PumpedCavity.from_ordinary, "cavity", dict(kw, xi=xi_hz * complex(math.cos(phase), math.sin(phase))))
 
 
 def parse_budget(d: dict) -> SqueezeBudget:
-    g_h_db = d.get("hemt_gain_db")
-    try:
-        return SqueezeBudget(
-            eta=10.0 ** (_get(d, "eta_db", "budget") / 10.0),
-            n_h=_get(d, "n_hemt_photons", "budget"),
-            g_h=None if g_h_db is None else 10.0 ** (g_h_db / 10.0),
-            n_eta=d.get("n_eta_photons", 0.0),
-            n_gamma=d.get("n_gamma_photons", 0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad squeezing budget: {exc}") from exc
+    return _build(SqueezeBudget, "budget", read(d, "budget", "budget"))
 
 
 def parse_field_model(d: dict) -> FieldModel:
-    try:
-        return FieldModel(
-            diffusion=_get(d, "diffusion_coefficient_m2_per_s", "field model"),
-            thickness=_get(d, "thickness_m", "field model"),
-            t_c=_get(d, "critical_temperature_k", "field model"),
-            center_width=_get(d, "center_width_m", "field model"),
-            theta_b=d.get("theta_b_rad", 0.0),
-            b_c_parallel=d.get("b_c_parallel_t"),
-            delta_0=d.get("delta_0_j"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad field model: {exc}") from exc
+    return _build(FieldModel, "field_model", read(d, "field_model", "field_model"))
 
 
 def parse_temp_model(d: dict) -> TempModel:
-    try:
-        return TempModel(
-            f_delta_tls=_get(d, "f_delta_tls", "temp model"),
-            alpha=_get(d, "alpha", "temp model"),
-            t_c=_get(d, "critical_temperature_k", "temp model"),
-            c4=d.get("c4", TempModel.__dataclass_fields__["c4"].default),
-            t_ref=d.get("t_ref_k", 0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"bad temperature model: {exc}") from exc
+    return _build(TempModel, "temp_model", read(d, "temp_model", "temp_model"))
 
 
 def read_sweep(path) -> SweepRecord:
@@ -206,4 +409,3 @@ def read_sweep(path) -> SweepRecord:
         return SweepRecord.from_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read sweep {path}: {exc}") from exc
-

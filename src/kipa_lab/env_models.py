@@ -278,6 +278,8 @@ class TempModel:
 def _shift_absolute(t: float, f_r: float, model: TempModel) -> float:
     """Shift relative to the T -> 0 anchor (both terms vanish there)."""
     x = PLANCK * f_r / (2.0 * math.pi * BOLTZMANN * t)
+    if not x > 0.0:
+        raise DomainError(f"h f_r / (2 pi k_B T) is {x} at f_r = {f_r} Hz and T = {t} K; it must be positive")
     tls = 0.0
     if model.f_delta_tls != 0.0:
         bracket = complex_digamma(0.5 - 1j * x).real - math.log(x)
@@ -347,11 +349,12 @@ def device_temp_from_shift(
             f"for T in [{t_min}, {t_max}] K"
         )
     lo, hi = t_min, t_max
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-5 and lo < mid < hi:  # mid == lo or hi where doubles are coarser than 1e-5 K
         f_mid = f(mid)
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -43,11 +43,16 @@ _NEWTON_STEPS = 16
 # bundled search (10 MHz coarse step, 10 kHz target) takes 3.
 _MAX_REFINEMENTS = 8
 
+# Cap on the points of one level of the pump search (frequencies x powers);
+# the bundled search has 41 x 81.
+_MAX_GRID_POINTS = 10**7
+
 
 def drift_stable(kappa_bar, delta, xi_abs):
     """Where both drift-matrix eigenvalues -kappa_bar +- sqrt(|xi|^2 - Delta^2)
-    decay, i.e. |xi|^2 < kappa_bar^2 + Delta^2; elementwise on arrays."""
-    return np.square(xi_abs) < np.square(kappa_bar) + np.square(delta)
+    decay, i.e. |xi|^2 < kappa_bar^2 + Delta^2; elementwise on arrays.  The
+    magnitudes are compared unsquared, so no finite rate overflows."""
+    return np.abs(xi_abs) < np.hypot(kappa_bar, delta)
 
 
 @dataclass(frozen=True)
@@ -451,7 +456,8 @@ def find_optimal_pump(
     they give the candidates, the best point, ``self_oscillation`` and
     ``n_evaluations``.  The frequency grid is refined tenfold around the best
     candidate until its spacing is at most ``refine_to_hz``, at most
-    _MAX_REFINEMENTS times.
+    _MAX_REFINEMENTS times.  A level of more than _MAX_GRID_POINTS points
+    is a DomainError, raised before any grid is built.
     """
     f_lo, f_hi = f_bounds
     p_lo, p_hi = p_bounds_dbm
@@ -460,6 +466,10 @@ def find_optimal_pump(
             "search bounds must be ordered: need f_hi > f_lo, p_hi >= p_lo, n_f_coarse >= 2, "
             "p_step_db > 0 and refine_to_hz > 0"
         )
+    # A refined level spans twice the previous step in tenths: at most 21 frequencies.
+    n_level = max(n_f_coarse, 21) * ((p_hi - p_lo) / p_step_db + 1.0)
+    if not n_level <= _MAX_GRID_POINTS:
+        raise DomainError(f"a search level would hold {n_level:.3g} pump points, more than {_MAX_GRID_POINTS:.0e}")
     p_grid = np.arange(p_lo, p_hi + 0.5 * p_step_db, p_step_db)
 
     state = {"n": 0, "osc": False, "best": (-math.inf, None, None)}

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import __version__
 from .config import config_hash
+from .errors import DomainError
 from .fitkit import write_csv
 
 
@@ -31,7 +32,12 @@ def make_bundle(command: str, inputs: dict, results: dict, residuals: Optional[l
 
 
 def bundle_json(bundle: dict) -> str:
-    return json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+    """Strict JSON text of the bundle; a non-finite number in it is a
+    DomainError, since strict JSON has no NaN or Infinity."""
+    try:
+        return json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"the result holds a non-finite number ({exc})") from None
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:

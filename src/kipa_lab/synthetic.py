@@ -137,7 +137,7 @@ def compression_sweep(
     input power is p_mid - softness*ln(depth - 1).
     """
     if depth_db <= 1.0:
-        raise ValueError("depth_db must exceed 1 dB for a 1-dB point to exist")
+        raise DomainError("depth_db must exceed 1 dB for a 1-dB point to exist")
     g = small_signal_gain_db - depth_db / (1.0 + np.exp(-(p_grid_dbm - p_mid_dbm) / softness_db))
     sigma = None
     if noise_db > 0:

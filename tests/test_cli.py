@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kipa_lab import cli, env_models, io_dynamics
+from kipa_lab import cli, env_models, io_dynamics, report
+from kipa_lab.errors import DomainError
 from kipa_lab.fitkit import SweepRecord
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -71,6 +72,16 @@ def _gain_text_with(literal):
     return (CONFIGS / "gain.json").read_text().replace('"f_pump_hz": 1.1347e10', f'"f_pump_hz": {literal}')
 
 
+def _edited(config, value, *path):
+    """The text of a bundled config with the key at ``path`` set to ``value``."""
+    doc = json.loads((CONFIGS / config).read_text())
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "argv, text, named",
     [
@@ -83,8 +94,42 @@ def _gain_text_with(literal):
             (CONFIGS / "field.json").read_text().replace("{", '{"bc_criterion": "nope",', 1),
             "pair-breaking-gap",
         ),
+        (["gain"], _edited("gain.json", "1.98e7", "cavity", "kappa_hz"), "cavity.kappa_hz"),
+        (["field-shift", "--synthetic"], _edited("field.json", ["pair-breaking-gap"], "bc_criterion"), "bc_criterion"),
+        (["gain"], _edited("gain.json", 0, "grid", "n_points"), "grid.n_points"),
+        (["gain"], _edited("gain.json", 10**6 + 1, "grid", "n_points"), "grid.n_points"),
+        (["gain"], _edited("gain.json", [1, 2], "grid"), "grid"),
+        (["gain"], json.dumps(json.loads((CONFIGS / "gain.json").read_text())["cavity"]), "cavity"),
+        (["pump-search"], _edited("pump_search.json", "41", "search", "n_f_coarse"), "search.n_f_coarse"),
+        (["noise-fit", "--synthetic"], _edited("chain.json", "false", "free_slope"), "free_slope"),
+        (["design"], _edited("sif.json", 2.7, "sif", "n_l"), "sif.n_l"),
+        (["squeeze"], _edited("budget.json", "3", "g_x_db"), "g_x_db"),
+        (["device-temp"], _edited("temp.json", "0.02", "t_min_k"), "t_min_k"),
+        (["chain-propagate"], _edited("chain.json", True, "chain", "elements", 0, "value_db"), "chain.elements[0].value_db"),
+        (["gain"], (CONFIGS / "gain.json").read_text().replace('"span_hz": 4.0e8', '"span_hz": 1e400'), "1e400"),
+        (["gain"], (CONFIGS / "gain.json").read_text().replace('"gamma_hz": 1.0e6', '"gamma_hz": 1' + "0" * 400), "finite double"),
     ],
-    ids=["top-level-array", "nan-literal", "infinity-literal", "minus-infinity-literal", "unknown-bc-criterion"],
+    ids=[
+        "top-level-array",
+        "nan-literal",
+        "infinity-literal",
+        "minus-infinity-literal",
+        "unknown-bc-criterion",
+        "string-number",
+        "array-bc-criterion",
+        "zero-grid-points",
+        "too-many-grid-points",
+        "array-block",
+        "flat-layout",
+        "string-count",
+        "string-boolean",
+        "fractional-count",
+        "string-gx",
+        "string-t-min",
+        "boolean-number",
+        "overflowing-float-literal",
+        "overflowing-int-literal",
+    ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, argv, text, named):
     cfg = tmp_path / "bad.json"
@@ -314,6 +359,38 @@ def test_gain_detuned_above_kappa_bar_is_stable(tmp_path, capsys):
     peak = io_dynamics.peak_gain_db(kappa, gamma, 0.5 * kappa, 1.08 * (kappa + gamma / 2.0))
     assert peak - 0.01 <= res["peak_gain_db"] <= peak + 1e-9
     assert res["gbp_hz"] > 0.0
+
+
+def test_gain_overflowing_pump_is_unstable_without_warning(tmp_path, capsys):
+    # |xi|^2 overflows a double; the gate compares |xi| with hypot(kappa_bar, Delta).
+    code, doc = run_json(capsys, "gain", "--config", str(_gain_config(tmp_path, xi_frac_of_kbar=1e200)))
+    assert code == 0
+    assert doc["results"]["stable"] is False and doc["results"]["peak_gain_db"] is None
+
+
+def test_gain_curve_not_finite_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "g.json"
+    cfg.write_text(_edited("gain.json", {"span_hz": 1e300, "n_points": 11}, "grid"))
+    code = cli.main(["gain", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error: the gain curve is not finite")
+
+
+def test_bundle_json_rejects_non_finite():
+    with pytest.raises(DomainError, match="non-finite"):
+        report.bundle_json({"results": {"peak_gain_db": float("nan")}})
+
+
+def test_pump_search_oversized_grid_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(_edited("pump_search.json", 1e-6, "search", "p_step_db"))
+    code = cli.main(["pump-search", "--config", str(cfg)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("domain error: a search level would hold 8.2e+08 pump points")
 
 
 @pytest.mark.parametrize(

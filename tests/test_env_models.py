@@ -251,6 +251,15 @@ def test_device_temp_out_of_range_raises():
         device_temp_from_shift(10.0, F_SIGNAL, model, t_min=0.1)
 
 
+def test_device_temp_bisection_ends_where_doubles_are_coarser_than_its_tolerance():
+    # With T_C = 1e300 K the root lies near 1e299 K, where adjacent doubles
+    # are far more than 10 uK apart; the bisection must still stop there.
+    model = TempModel(f_delta_tls=2e-6, alpha=0.9, t_c=1e300)
+    with pytest.warns(ConfigWarning):
+        t = device_temp_from_shift(-1e-4, F_SIGNAL, model)
+    assert temp_frequency_shift(t, F_SIGNAL, model) == pytest.approx(-1e-4, rel=1e-6)
+
+
 def test_nonmonotone_model_warns():
     # A heavy TLS term over a weak kinetic one makes the shift dip, rise and
     # fall again across the band, which the range check must flag.
