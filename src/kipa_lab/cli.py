@@ -278,12 +278,10 @@ def cmd_temp_shift(args) -> int:
     cfg, c = _load_config(args)
     model = cfgmod.parse_temp_model(c["temp_model"])
     f_r = c["f_r_hz"]
-    temperatures = np.linspace(0.05, 0.4 * model.t_c, 36) if c["temperatures_k"] is None else c["temperatures_k"]
-    rows = []
-    for t in temperatures:
-        rel = env_models.temp_frequency_shift(float(t), f_r, model)
-        rows.append({"t_k": float(t), "rel_shift": rel, "delta_f_hz": rel * f_r})
-    return _emit(args, cfg, {"f_r_hz": f_r, "n_points": len(rows)}, rows)
+    t = c["temperatures_k"]
+    t = np.linspace(env_models.QUARTIC_T_MIN_K, model.quartic_t_max, 36) if t is None else np.asarray(t, dtype=float)
+    rel = env_models.temp_frequency_shift(t, f_r, model)
+    return _emit(args, cfg, {"f_r_hz": f_r, "n_points": t.size}, _rows(t_k=t, rel_shift=rel, delta_f_hz=rel * f_r))
 
 
 def cmd_device_temp(args) -> int:

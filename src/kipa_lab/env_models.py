@@ -12,7 +12,6 @@ measured frequency shift into an effective device temperature.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +32,12 @@ BCS_GAP_RATIO = 1.764
 #: (k_B T/gap)^4 carries the factor 1.764^4.  It is a fit parameter; this
 #: value is only a starting point.
 DEFAULT_C4 = BCS_GAP_RATIO**4
+
+#: The dirty-limit quartic term holds from QUARTIC_T_MIN_K up to
+#: QUARTIC_T_MAX_OVER_TC * T_C: the default temperature grid and the range
+#: of the monotonicity check and of the inversion.
+QUARTIC_T_MIN_K = 0.05
+QUARTIC_T_MAX_OVER_TC = 0.4
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,9 @@ def field_curvature(model: FieldModel, include_misalignment: bool = True) -> flo
     return c0 * (1.0 + geom)
 
 
-def field_frequency_shift(b: float, model: FieldModel) -> float:
-    """Relative frequency shift d_omega/omega at parallel field B (even in B)."""
+def field_frequency_shift(b, model: FieldModel):
+    """Relative frequency shift d_omega/omega at parallel field B (even in
+    B), a scalar or an array."""
     return -field_curvature(model) * b**2
 
 
@@ -194,35 +200,41 @@ _STIRLING = (
     1.0 / 12.0,
 )
 
-_RECURRENCE_RADIUS = 10.0
+#: Upward recurrence steps: from Re(z) >= 1/2 they reach |z| > 10, where the
+#: seven retained Stirling terms are accurate below 1e-15.
+_RECURRENCE_STEPS = 10
 
 
-def complex_digamma(z: complex) -> complex:
-    """Digamma function for complex argument.
+def complex_digamma(z):
+    """Digamma function for complex argument, scalar or array.
 
-    Reflection maps Re(z) < 1/2 to the right half plane, upward recurrence
-    pushes |z| beyond 10, and the asymptotic series
-    psi(z) ~ ln z - 1/(2z) - sum B_2k/(2k z^2k) finishes the job; the
-    truncation error of the seven retained terms is below 1e-15 there.
-    Poles at the non-positive integers raise a domain error.
+    Reflection psi(z) = psi(1 - z) - pi*cot(pi*z) maps Re(z) < 1/2 to the
+    right half plane, ten steps of upward recurrence push |z| beyond 10, and
+    the asymptotic series psi(z) ~ ln z - 1/(2z) - sum B_2k/(2k z^2k)
+    finishes the job (Abramowitz & Stegun 6.3.5, 6.3.7, 6.3.18).  The
+    cotangent is taken of z minus its nearest integer, so values next to a
+    pole keep their relative accuracy.  Poles at the non-positive integers
+    raise a domain error.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise DomainError(f"digamma pole at z = {z.real:.0f}")
-    if z.real < 0.5:
-        # psi(z) = psi(1 - z) - pi * cot(pi * z)
-        return complex_digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    acc = 0.0 + 0.0j
-    while abs(z) < _RECURRENCE_RADIUS:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0.0 + 0.0j
-    power = inv2
-    for coeff in _STIRLING:
-        series += coeff * power
-        power *= inv2
-    return acc + cmath.log(z) - 0.5 / z - series
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    poles = z.real[(z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))]
+    if poles.size:
+        raise DomainError(f"digamma pole at z = {poles[0]:.0f}")
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    acc = series = 0.0
+    for _ in range(_RECURRENCE_STEPS):
+        acc = acc - 1.0 / w
+        w = w + 1.0
+    inv = 1.0 / w
+    inv2 = inv * inv
+    for coeff in reversed(_STIRLING):
+        series = (series + coeff) * inv2
+    psi = acc + np.log(w) - 0.5 * inv - series
+    zr = z[reflect]
+    psi[reflect] -= np.pi / np.tan(np.pi * (zr - np.round(zr.real)))
+    return complex(psi[0]) if scalar else psi
 
 
 @dataclass(frozen=True)
@@ -256,14 +268,17 @@ class TempModel:
     def gap(self) -> float:
         return BCS_GAP_RATIO * BOLTZMANN * self.t_c
 
-    def warn_if_nonmonotone(self, f_r: float, t_lo: float = 0.05, t_hi: Optional[float] = None) -> bool:
+    @property
+    def quartic_t_max(self) -> float:
+        """Upper end of the quartic term's validity, QUARTIC_T_MAX_OVER_TC * T_C, in K."""
+        return QUARTIC_T_MAX_OVER_TC * self.t_c
+
+    def warn_if_nonmonotone(self, f_r: float, t_lo: float = QUARTIC_T_MIN_K, t_hi: Optional[float] = None) -> bool:
         """Numerically check monotonicity of the shift at 64 points over
-        [t_lo, t_hi] (default upper end 0.4*T_C); warn and return False on
-        violation."""
-        t_hi = 0.4 * self.t_c if t_hi is None else t_hi
-        ts = np.linspace(t_lo, t_hi, 64)
-        vals = np.array([_shift_absolute(t, f_r, self) for t in ts])
-        d = np.diff(vals)
+        [t_lo, t_hi] (default upper end quartic_t_max); warn and return False
+        on violation."""
+        t_hi = self.quartic_t_max if t_hi is None else t_hi
+        d = np.diff(_shift_absolute(np.linspace(t_lo, t_hi, 64), f_r, self))
         ok = bool(np.all(d <= 0.0) or np.all(d >= 0.0))
         if not ok:
             warnings.warn(
@@ -275,16 +290,19 @@ class TempModel:
         return ok
 
 
-def _shift_absolute(t: float, f_r: float, model: TempModel) -> float:
-    """Shift relative to the T -> 0 anchor (both terms vanish there)."""
+def _shift_absolute(t, f_r: float, model: TempModel):
+    """Shift relative to the T -> 0 anchor (both terms vanish there), at a
+    temperature or an array of them."""
+    t = np.asarray(t, dtype=float)
     x = PLANCK * f_r / (2.0 * math.pi * BOLTZMANN * t)
-    if not x > 0.0:
-        raise DomainError(f"h f_r / (2 pi k_B T) is {x} at f_r = {f_r} Hz and T = {t} K; it must be positive")
+    if not np.all(x > 0.0):
+        raise DomainError(f"h f_r / (2 pi k_B T) must be positive; at f_r = {f_r} Hz and T = {t.min()} to {t.max()} K it is not")
     tls = 0.0
     if model.f_delta_tls != 0.0:
-        bracket = complex_digamma(0.5 - 1j * x).real - math.log(x)
+        bracket = complex_digamma(0.5 - 1j * x).real - np.log(x)
         tls = model.f_delta_tls / math.pi * bracket
-    quartic = model.alpha * model.c4 * (BOLTZMANN * t / model.gap) ** 4
+    with np.errstate(over="raise"):  # an overflowing term is a domain error, not an inf in the result
+        quartic = model.alpha * model.c4 * (BOLTZMANN * t / model.gap) ** 4
     return tls - quartic
 
 
@@ -293,21 +311,23 @@ def _shift_reference(f_r: float, model: TempModel) -> float:
     return _shift_absolute(model.t_ref, f_r, model) if model.t_ref > 0.0 else 0.0
 
 
-def temp_frequency_shift(t: float, f_r: float, model: TempModel) -> float:
-    """Relative frequency shift d_omega/omega at device temperature t (K).
+def temp_frequency_shift(t, f_r: float, model: TempModel):
+    """Relative frequency shift d_omega/omega at device temperature t (K), a
+    scalar or an array.
 
     TLS term: (F*delta/pi) * [Re psi(1/2 + h f/(2 i pi k_B T)) -
     ln(h f/(2 pi k_B T))]; kinetic term: -alpha*c4*(k_B T/gap)^4.  The
-    quartic law holds for T up to about 0.4*T_C; beyond that a warning is
-    raised.  The result is referenced to the model's t_ref.
+    quartic law holds for T up to model.quartic_t_max; beyond that a warning
+    is raised.  The result is referenced to the model's t_ref.
     """
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise DomainError("temperature must be positive")
     if f_r <= 0.0:
         raise DomainError("frequency must be positive")
-    if t > 0.4 * model.t_c:
+    if np.any(t > model.quartic_t_max):
         warnings.warn(
-            f"T = {t} K exceeds 0.4*T_C = {0.4 * model.t_c:.3f} K, outside the "
+            f"T = {np.max(t)} K exceeds {QUARTIC_T_MAX_OVER_TC}*T_C = {model.quartic_t_max:.3f} K, outside the "
             "validity of the dirty-limit quartic term",
             PhysicsWarning,
             stacklevel=2,
@@ -325,9 +345,10 @@ def device_temp_from_shift(
     """Invert the shift model for temperature by bisection (tol = 10 uK).
 
     The model must be monotone over [t_min, t_max] (default upper end
-    0.4*T_C); shifts outside the attainable range raise InversionError.
+    model.quartic_t_max); shifts outside the attainable range raise
+    InversionError.
     """
-    t_max = 0.4 * model.t_c if t_max is None else t_max
+    t_max = model.quartic_t_max if t_max is None else t_max
     if not t_max > t_min > 0.0:
         raise DomainError("need 0 < t_min < t_max")
     model.warn_if_nonmonotone(f_r, t_min, t_max)

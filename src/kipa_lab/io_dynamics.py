@@ -315,19 +315,24 @@ def quadrature_gain_x(cav: PumpedCavity, f_hz: Optional[float] = None) -> float:
     return cav.kappa * num / den
 
 
-def n_kappa2_term(g_x: float, x2_in_var: float = 0.25) -> float:
+#: Vacuum quadrature variance <X^2> for the a = X + iY convention, the input
+#: variance of the second port and of the internal-loss bath.
+VACUUM_VARIANCE = 0.25
+
+
+def n_kappa2_term(g_x: float) -> float:
     """Second-port noise term [(sqrt(Gx)-1)/(sqrt(Gx)+1)] * <X^2_2,in>."""
     if g_x <= 0.0:
         raise DomainError("quadrature gain must be positive")
     s = math.sqrt(g_x)
-    return (s - 1.0) / (s + 1.0) * x2_in_var
+    return (s - 1.0) / (s + 1.0) * VACUUM_VARIANCE
 
 
-def n_gamma_term(kappa: float, gamma: float, xb_in_var: float = 0.25) -> float:
+def n_gamma_term(kappa: float, gamma: float) -> float:
     """Internal-loss noise term (gamma/kappa) * <X^2_b,in>."""
     if kappa <= 0.0 or gamma < 0.0:
         raise DomainError("need kappa > 0 and gamma >= 0")
-    return gamma / kappa * xb_in_var
+    return gamma / kappa * VACUUM_VARIANCE
 
 
 def output_quadrature_variance(
@@ -374,18 +379,12 @@ def gbp_extract(curve: GainCurve) -> float:
     target = peak - 3.0
     if i_pk in (0, f.size - 1) or float(np.ptp(gdb)) < 3.0:
         raise ExtractionError("no 3 dB bandwidth resolvable in the gain curve")
-    left = None
-    for j in range(i_pk - 1, -1, -1):
-        if gdb[j] <= target:
-            left = _cross_interp(f, gdb, j, j + 1, target)
-            break
-    right = None
-    for j in range(i_pk + 1, f.size):
-        if gdb[j] <= target:
-            right = _cross_interp(f, gdb, j - 1, j, target)
-            break
-    if left is None or right is None:
+    below = np.flatnonzero(gdb <= target)
+    lo, hi = below[below < i_pk], below[below > i_pk]
+    if lo.size == 0 or hi.size == 0:
         raise ExtractionError("gain does not fall 3 dB below the peak inside the scan")
+    left = _cross_interp(f, gdb, lo[-1], lo[-1] + 1, target)
+    right = _cross_interp(f, gdb, hi[0] - 1, hi[0], target)
     g_peak = 10.0 ** (peak / 10.0)
     return math.sqrt(g_peak) * (right - left)
 
@@ -410,12 +409,13 @@ def compression_point(
     target = small_signal_gain_db - 1.0
     if g[0] <= target:
         raise ExtractionError("no small-signal plateau: first point is already compressed")
-    for k in range(1, p.size):
-        if g[k] <= target:
-            frac = (target - g[k - 1]) / (g[k] - g[k - 1])
-            p_in = float(p[k - 1] + frac * (p[k] - p[k - 1]))
-            return CompressionPoint(p_in, p_in + target)
-    raise ExtractionError("gain never compresses by 1 dB within the sweep")
+    below = np.flatnonzero(g <= target)
+    if below.size == 0:
+        raise ExtractionError("gain never compresses by 1 dB within the sweep")
+    k = below[0]
+    frac = (target - g[k - 1]) / (g[k] - g[k - 1])
+    p_in = float(p[k - 1] + frac * (p[k] - p[k - 1]))
+    return CompressionPoint(p_in, p_in + target)
 
 
 @dataclass

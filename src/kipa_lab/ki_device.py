@@ -101,10 +101,8 @@ def _check_switching(i_dc: float, res: ResonatorParams) -> None:
 def clem_ratio(current, i_star: float, n: float):
     """Clem relation L_k(I) / L_k(0) = [1 - (|I|/I*)^n]^(-1/n), unchecked.
 
-    Even in I, equal to 1 at zero current, divergent as |I| -> I*.  A scalar
-    current is evaluated in numpy scalar arithmetic and an array elementwise;
-    the two may differ in the last bit, so a caller that needs reproducible
-    output keeps the form it has.
+    Even in I, equal to 1 at zero current, divergent as |I| -> I*.  Accepts
+    scalars or arrays.
     """
     return (1.0 - (np.abs(current) / i_star) ** n) ** (-1.0 / n)
 
@@ -132,8 +130,9 @@ def kinetic_inductance_ratio(current: float, res: ResonatorParams):
     return float(out) if np.isscalar(current) else out
 
 
-def resonance_vs_bias(i_dc: float, res: ResonatorParams):
-    """Resonant frequency in Hz at a dc bias current (the Clem tuning law)."""
+def resonance_vs_bias(i_dc, res: ResonatorParams):
+    """Resonant frequency in Hz at a dc bias current, a scalar or an array
+    (the Clem tuning law)."""
     if res.f_r0 <= 0.0:
         raise DomainError("resonator f_r0 must be set for frequency tuning")
     _check_switching(np.max(np.abs(np.asarray(i_dc))), res)

@@ -118,33 +118,34 @@ class ReceiverChain:
 
 @dataclass(frozen=True)
 class VtsSetpoint:
-    """One source temperature together with the signal/idler carriers and
-    the signal-to-idler conversion ratio (g - 1 for a phase-insensitive
-    amplifier at gain g)."""
+    """Source temperature (one, or an array of them) together with the
+    signal/idler carriers and the signal-to-idler conversion ratio (g - 1
+    for a phase-insensitive amplifier at gain g)."""
 
-    t_vts: float  # K
+    t_vts: float  # K, or an array
     f_signal: float  # Hz
     f_idler: float  # Hz
     g_conv: float
 
     def __post_init__(self):
-        if self.t_vts <= 0.0:
+        if np.any(np.asarray(self.t_vts) <= 0.0):
             raise DomainError("source temperature must be positive")
         if self.g_conv < 0.0:
             raise DomainError("conversion ratio must be >= 0")
 
 
-def _half_quantum_coth(f_hz: float, t_k: float) -> float:
+def _half_quantum_coth(f_hz: float, t_k):
     """(h f / 2 k_B) * coth(h f / 2 k_B T), the quantum Johnson-Nyquist
-    temperature of a matched source; equals hf/2k_B at T = 0."""
+    temperature of a matched source at a temperature or an array of them;
+    equals hf/2k_B at T = 0, where x/T is inf and tanh(inf) = 1."""
     x = PLANCK * f_hz / (2.0 * BOLTZMANN)
-    if t_k == 0.0:
-        return x
-    return x / math.tanh(x / t_k)
+    with np.errstate(divide="ignore"):
+        return x / np.tanh(x / np.asarray(t_k, dtype=float))
 
 
-def vts_output_noise(sp: VtsSetpoint, g: float) -> float:
-    """Noise temperature emitted by the source toward the device, in K.
+def vts_output_noise(sp: VtsSetpoint, g: float):
+    """Noise temperature emitted by the source toward the device, in K, at
+    each of the setpoint's source temperatures.
 
     Signal-band term plus the idler-band term scaled by g_conv/g; both
     follow the coth law and are bounded below by the zero-point sum.
@@ -228,11 +229,11 @@ class HemtNoiseFit(NamedTuple):
     fit: FitResult
 
 
-def hemt_input_noise(t_vts: float, f_signal: float, chain: ReceiverChain) -> float:
+def hemt_input_noise(t_vts, f_signal: float, chain: ReceiverChain):
     """Source noise reaching the HEMT in the 50-ohm-through configuration.
 
     The cryogenic losses are traversed twice (down and back up), hence the
-    factor 2*eta_e on the coth law.
+    factor 2*eta_e on the coth law.  t_vts may be an array.
     """
     return 2.0 * chain.eta_e * _half_quantum_coth(f_signal, t_vts)
 
@@ -244,7 +245,7 @@ def fit_hemt_noise(
     with a 50-ohm through in place of the device:
     P_out/(g_tot k_B B) = T_in^(H) + T_HEMT + T_bkg/g_hemt.
     """
-    t_in = np.array([hemt_input_noise(t, f_signal, chain) for t in sweep.x])
+    t_in = hemt_input_noise(sweep.x, f_signal, chain)
     scale = chain.g_tot * BOLTZMANN * chain.bandwidth
     sigma = None if sweep.sigma_y is None else sweep.sigma_y / scale
     data = SweepRecord(t_in, sweep.y / scale, sigma)

@@ -5,8 +5,8 @@ Conventions, fixed here once for the whole package:
 * All public interfaces take ordinary frequency ``f`` in Hz.  Conversions to
   angular frequency ``omega = 2*pi*f`` are always explicit, never implied.
 * Photon-number equivalents of a temperature use the linear convention
-  ``n = k_B*T / (h*f)`` by default; the Bose-Einstein occupation is available
-  as a named alternate mode.
+  ``n = k_B*T / (h*f)``; the thermal occupation of the mode is
+  ``bose_einstein_occupation``.
 * Decibel values are power ratios, ``db = 10*log10(linear)``.
 
 Constants are CODATA 2018 (the 2019 SI redefinition makes h, k_B and e
@@ -52,23 +52,16 @@ def bose_einstein_occupation(temperature_k: float, f) -> float:
     return 1.0 / math.expm1(x)
 
 
-def photon_temperature_equivalent(temperature_k: float, f, mode: str = "linear") -> float:
-    """Photon-number equivalent of a noise temperature at carrier ``f``.
-
-    mode="linear" returns k_B*T/(h*f), the convention in which 286 mK at
-    5.67 GHz is about one photon.  mode="bose-einstein" returns the thermal
-    occupation of the mode instead.
-    """
+def photon_temperature_equivalent(temperature_k: float, f) -> float:
+    """Photon-number equivalent k_B*T/(h*f) of a noise temperature at
+    carrier ``f``, the convention in which 286 mK at 5.67 GHz is about one
+    photon."""
     f_hz = float(f)
     if temperature_k < 0.0:
         raise DomainError(f"temperature must be non-negative, got {temperature_k} K")
     if f_hz <= 0.0:
         raise DomainError(f"frequency must be positive, got {f_hz} Hz")
-    if mode == "linear":
-        return BOLTZMANN * temperature_k / (PLANCK * f_hz)
-    if mode == "bose-einstein":
-        return bose_einstein_occupation(temperature_k, f_hz)
-    raise DomainError(f"unknown photon-number mode {mode!r}")
+    return BOLTZMANN * temperature_k / (PLANCK * f_hz)
 
 
 def temperature_from_photons(photons: float, f) -> float:

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .io_dynamics import n_kappa2_term
-
-#: Vacuum quadrature variance <X^2> for the a = X + iY convention used here.
-VACUUM_VARIANCE = 0.25
+from .io_dynamics import VACUUM_VARIANCE, n_kappa2_term
 
 #: Lowest quadrature gain reachable in transmission (the -3 dB limit).
 GX_FLOOR = 0.5
@@ -70,7 +67,7 @@ def squeezing_factor(g_x: float, budget: SqueezeBudget) -> float:
     v = VACUUM_VARIANCE
     c = budget.hemt_prefactor
     loss_term = (1.0 - budget.eta) * (v + budget.n_eta / 2.0)
-    n_k2 = n_kappa2_term(g_x, v)
+    n_k2 = n_kappa2_term(g_x)
     num = (
         g_x * budget.eta * v
         + (g_x - 1.0) * budget.eta * n_k2

@@ -22,6 +22,15 @@ from .quantities import BOLTZMANN
 from .env_models import FieldModel, field_frequency_shift
 
 
+def _with_relative_noise(x, y, noise_frac: float, rng: np.random.Generator) -> SweepRecord:
+    """(x, y) with Gaussian noise of standard deviation noise_frac * y added
+    to y and recorded as sigma_y, or noiseless when noise_frac <= 0."""
+    if noise_frac > 0:
+        sigma = noise_frac * y
+        return SweepRecord(x, y + rng.normal(0.0, sigma), sigma)
+    return SweepRecord(x, y)
+
+
 def gain_sweep(
     kappa_hz: float,
     gamma_hz: float,
@@ -78,23 +87,10 @@ def noise_sweep(
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_in, P_out) thermometry sweep with the device in line."""
     t_add = t_kipa + chain.t_hemt / chain.g
-    xs, ys = [], []
-    for t_vts in t_vts_values:
-        sp = VtsSetpoint(t_vts, f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
-        t_in = input_noise(vts_output_noise(sp, chain.g), chain)
-        p_out = chain.g_tot * BOLTZMANN * chain.bandwidth * (
-            t_in + t_add + chain.t_bkg / (chain.g_hemt * chain.g)
-        )
-        xs.append(t_in)
-        ys.append(p_out)
-    xs = np.array(xs)
-    ys = np.array(ys)
-    sigma = None
-    if noise_frac > 0:
-        sigma = noise_frac * ys
-        ys = ys + rng.normal(0.0, sigma)
-    truth = {"t_add_k": t_add, "t_kipa_k": t_kipa}
-    return SweepRecord(xs, ys, sigma), truth
+    sp = VtsSetpoint(np.asarray(t_vts_values, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
+    xs = input_noise(vts_output_noise(sp, chain.g), chain)
+    ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (xs + t_add + chain.t_bkg / (chain.g_hemt * chain.g))
+    return _with_relative_noise(xs, ys, noise_frac, rng), {"t_add_k": t_add, "t_kipa_k": t_kipa}
 
 
 def hemt_sweep(
@@ -105,21 +101,10 @@ def hemt_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_VTS, P_out) sweep with a 50-ohm through in place of the device."""
-    xs, ys = [], []
-    for t_vts in t_vts_values:
-        t_in = hemt_input_noise(t_vts, f_signal_hz, chain)
-        p_out = chain.g_tot * BOLTZMANN * chain.bandwidth * (
-            t_in + chain.t_hemt + chain.t_bkg / chain.g_hemt
-        )
-        xs.append(t_vts)
-        ys.append(p_out)
-    xs = np.array(xs)
-    ys = np.array(ys)
-    sigma = None
-    if noise_frac > 0:
-        sigma = noise_frac * ys
-        ys = ys + rng.normal(0.0, sigma)
-    return SweepRecord(xs, ys, sigma), {"t_hemt_k": chain.t_hemt}
+    xs = np.asarray(t_vts_values, dtype=float)
+    t_in = hemt_input_noise(xs, f_signal_hz, chain)
+    ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (t_in + chain.t_hemt + chain.t_bkg / chain.g_hemt)
+    return _with_relative_noise(xs, ys, noise_frac, rng), {"t_hemt_k": chain.t_hemt}
 
 
 def compression_sweep(
@@ -155,13 +140,8 @@ def clem_tuning_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(bias current, resonance frequency) sweep from the tuning law."""
-    f = np.array([resonance_vs_bias(i, res) for i in currents_a])
-    sigma = None
-    if noise_frac > 0:
-        sigma = noise_frac * f
-        f = f + rng.normal(0.0, sigma)
     truth = {"i_star_a": res.i_star, "clem_exponent": res.clem_exponent}
-    return SweepRecord(currents_a, f, sigma), truth
+    return _with_relative_noise(currents_a, resonance_vs_bias(currents_a, res), noise_frac, rng), truth
 
 
 def field_shift_sweep(
@@ -171,7 +151,7 @@ def field_shift_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(B, d_omega/omega) sweep from the quadratic field law."""
-    y = np.array([field_frequency_shift(b, model) for b in b_values_t])
+    y = field_frequency_shift(b_values_t, model)
     sigma = None
     if noise_abs > 0:
         sigma = np.full(b_values_t.size, noise_abs)
@@ -223,6 +203,11 @@ def pump_gain_map(
     return lambda f_pump_hz, p_pump_dbm: float(law(f_pump_hz, p_pump_dbm))
 
 
-def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0, n: int = 4) -> List[float]:
-    """Geometric ladder of source temperatures, endpoints included."""
-    return list(np.geomspace(lo_k, hi_k, n))
+#: Source temperatures on a VTS ladder.
+VTS_LADDER_STEPS = 4
+
+
+def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> List[float]:
+    """Geometric ladder of VTS_LADDER_STEPS source temperatures, endpoints
+    included."""
+    return list(np.geomspace(lo_k, hi_k, VTS_LADDER_STEPS))

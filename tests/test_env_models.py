@@ -19,7 +19,7 @@ from kipa_lab.env_models import (
 )
 from kipa_lab.errors import ConfigWarning, DomainError, InversionError, PhysicsWarning
 from kipa_lab.fitkit import SweepRecord
-from kipa_lab.quantities import EULER_GAMMA
+from kipa_lab.quantities import BOLTZMANN, EULER_GAMMA, PLANCK
 from kipa_lab.synthetic import field_shift_sweep
 
 F_SIGNAL = 5.6735e9
@@ -189,6 +189,28 @@ def test_digamma_poles_raise():
     for z in (0.0, -1.0, -7.0):
         with pytest.raises(DomainError):
             complex_digamma(z)
+    with pytest.raises(DomainError):
+        complex_digamma(np.array([0.5 + 1j, -2.0, 3.0]))
+
+
+def mp_digamma(z: np.ndarray) -> np.ndarray:
+    return np.array([complex(mp.digamma(mp.mpc(c.real, c.imag))) for c in z.ravel()]).reshape(z.shape)
+
+
+NEAR_POLES = np.array([n + d for n in (-3.0, -2.0, -1.0, 0.0) for d in (1e-6, -1e-6, 1e-6j, -1e-6j, 7e-7 + 7e-7j)])
+REFLECTION_GRID = (np.linspace(-9.75, 3.25, 27)[:, None] + 1j * np.array([-6.0, -0.7, -0.01, 0.0, 0.3, 4.0])).ravel()
+
+
+@pytest.mark.parametrize(
+    "z",
+    [0.5 - 1j * np.logspace(-4, 4, 161), REFLECTION_GRID, NEAR_POLES],
+    ids=["tls-line", "reflection-grid", "near-poles"],
+)
+def test_digamma_array_matches_mpmath(z):
+    got = complex_digamma(z)
+    assert got.shape == z.shape
+    want = mp_digamma(z)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def quiet_temp_model(**overrides) -> TempModel:
@@ -258,6 +280,23 @@ def test_device_temp_bisection_ends_where_doubles_are_coarser_than_its_tolerance
     with pytest.warns(ConfigWarning):
         t = device_temp_from_shift(-1e-4, F_SIGNAL, model)
     assert temp_frequency_shift(t, F_SIGNAL, model) == pytest.approx(-1e-4, rel=1e-6)
+
+
+def test_temp_shift_array_matches_mpmath_expression():
+    # The same law built from mpmath at 30 digits.  The TLS bracket
+    # Re psi(1/2 - ix) - ln x changes sign, so the error is measured against
+    # the size of the terms that are summed, not against the result.
+    model = TempModel(f_delta_tls=2e-5, alpha=0.9, t_c=5.6)
+    t = np.geomspace(0.005, model.quartic_t_max, 60)
+    got = temp_frequency_shift(t, F_SIGNAL, model)
+    with mp.workdps(30):
+        for t_k, value in zip(t, got):
+            x = mp.mpf(PLANCK) * F_SIGNAL / (2 * mp.pi * mp.mpf(BOLTZMANN) * t_k)
+            re_psi, log_x = mp.re(mp.digamma(mp.mpc(0.5, -x))), mp.log(x)
+            quartic = model.alpha * model.c4 * (mp.mpf(BOLTZMANN) * t_k / model.gap) ** 4
+            want = model.f_delta_tls / mp.pi * (re_psi - log_x) - quartic
+            scale = model.f_delta_tls / mp.pi * (abs(re_psi) + abs(log_x)) + quartic
+            assert abs(value - want) <= 1e-12 * scale
 
 
 def test_nonmonotone_model_warns():

@@ -267,6 +267,20 @@ def test_gbp_converges_to_kappa_monotonically():
     assert ratios[-1] == pytest.approx(math.sqrt(10.0**0.3 - 1.0), abs=1e-3)
 
 
+def test_gbp_band_edges_on_the_first_and_last_points():
+    # The 3 dB crossings lie between the first two and the last two points,
+    # so both edge scans reach the ends of the grid.
+    f = np.linspace(F_HALF - 3e6, F_HALF + 3e6, 7)
+    gdb = np.array([16.5, 18.0, 19.0, 20.0, 19.0, 18.0, 16.0])
+    curve = GainCurve(f, 10.0 ** (gdb / 20.0) + 0j, gdb)
+    left = f[0] + (17.0 - gdb[0]) * (f[1] - f[0]) / (gdb[1] - gdb[0])
+    right = f[5] + (17.0 - gdb[5]) * (f[6] - f[5]) / (gdb[6] - gdb[5])
+    assert gbp_extract(curve) == pytest.approx(10.0 * (right - left), rel=1e-12)
+    gdb[-1] = 17.5  # no crossing on the right any more
+    with pytest.raises(ExtractionError):
+        gbp_extract(GainCurve(f, 10.0 ** (gdb / 20.0) + 0j, gdb))
+
+
 def test_gbp_flat_curve_raises():
     f = np.linspace(F_HALF - 1e7, F_HALF + 1e7, 101)
     flat = GainCurve.from_gains(f, np.ones(101, dtype=complex))
@@ -472,6 +486,11 @@ def test_compression_point_published_numbers():
     assert point.p_in_1db_dbm == pytest.approx(-86.0, abs=1e-9)
     assert point.p_out_sat_dbm == pytest.approx(-66.0, abs=1e-9)
     assert abs(point.p_out_sat_dbm - (-65.0)) <= 1.0
+    # The crossing reached at the second grid point, and only at the last one.
+    first = compression_point(SweepRecord(p, np.append(21.0, np.full(140, 19.0))), 21.0)
+    assert first.p_in_1db_dbm == pytest.approx(0.5 * (p[0] + p[1]), rel=1e-14)
+    last = compression_point(SweepRecord(p, np.append(np.full(140, 21.0), 19.0)), 21.0)
+    assert last.p_in_1db_dbm == pytest.approx(0.5 * (p[-2] + p[-1]), rel=1e-14)
 
 
 def test_compression_point_flat_curve_raises():

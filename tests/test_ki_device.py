@@ -84,6 +84,9 @@ def test_resonance_decreasing_and_even():
     vals = np.array([resonance_vs_bias(i, res) for i in grid])
     assert np.all(np.diff(vals) < 0)
     assert resonance_vs_bias(-grid[7], res) == vals[7]
+    # The array form against the per-point scalar form: numpy's array and
+    # scalar pow may differ in the last bit.
+    assert np.all(np.abs(resonance_vs_bias(grid, res) - vals) <= 2 * np.spacing(vals))
 
 
 def test_resonance_near_zero_alpha_is_nearly_constant():

@@ -11,6 +11,7 @@ from kipa_lab.noise_cal import (
     ChainElement,
     ReceiverChain,
     VtsSetpoint,
+    _half_quantum_coth,
     fit_added_noise,
     fit_hemt_noise,
     fit_kipa_noise_vs_attenuator,
@@ -199,6 +200,17 @@ def test_fit_hemt_noise_recovery_and_conditioning():
     t_in = np.array([hemt_input_noise(t, F_SIGNAL, chain) for t in temps])
     X = np.column_stack([t_in, np.ones_like(t_in)])
     assert np.linalg.cond(X) < 100.0
+
+
+def test_half_quantum_coth_array_matches_scalar_tanh():
+    # Reference: the scalar form of the law, element by element in
+    # math.tanh; T = 0 is the zero-point limit hf/2k_B.
+    x = sc.h * F_SIGNAL / (2 * sc.k)
+    temps = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 400)])
+    want = np.array([x if t == 0.0 else x / math.tanh(x / t) for t in temps])
+    got = _half_quantum_coth(F_SIGNAL, temps)
+    assert got[0] == x
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 def test_hemt_input_noise_unit_efficiency_zero_point():
