@@ -37,6 +37,8 @@ EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_DOMAIN = 4
 
+_parser = None  # the parser of this process, built by the first main() call
+
 
 def _load_config(args):
     """(config as read, its top level checked against the command's schema)."""
@@ -48,16 +50,17 @@ def _load_config(args):
 
 def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None, sweep=None) -> int:
     """Print the bundle of this run, which echoes the inputs and carries any
-    planted truth, and write it with the curve and sweep CSVs under --out.
-    A result that is not strict JSON is a domain error in either format."""
+    planted truth, and write the same text with the curve and sweep CSVs under
+    --out.  A result that is not strict JSON is a domain error in either format."""
     if truth:
         results["truth"] = truth
     inputs = {"config": cfg, "seed": args.seed, "synthetic": args.synthetic}
     bundle = make_bundle(args.command, inputs, results, residuals)
     text = bundle_json(bundle)
-    sys.stdout.write(bundle_csv(bundle) if args.format == "csv" else text)
+    csv_text = bundle_csv(bundle) if args.format == "csv" else None
+    sys.stdout.write(text if csv_text is None else csv_text)
     if args.out:
-        paths = write_bundle(bundle, args.out, args.format)
+        paths = write_bundle(bundle, args.out, text, csv_text)
         for name, table in (("curve.csv", curve), ("sweep.csv", sweep)):
             if table is not None:
                 paths.append(os.path.join(args.out, name))
@@ -87,11 +90,8 @@ def _rows(**columns) -> list:
 def cmd_design(args) -> int:
     cfg, c = _load_config(args)
     sif = cfgmod.parse_sif(c["sif"])
-    results = {
-        "z_eff_ohm": microwave_net.effective_impedance(sif),
-        "q_c": microwave_net.coupling_q(sif),
-        "kappa_hz": microwave_net.coupling_rate(sif),
-    }
+    results = {"z_eff_ohm": microwave_net.effective_impedance(sif), "q_c": microwave_net.coupling_q(sif),
+               "kappa_hz": microwave_net.coupling_rate(sif)}
     return _emit(args, cfg, results)
 
 
@@ -166,9 +166,7 @@ def cmd_gain(args) -> int:
             "reduced_chi2": fit.reduced_chi2,
             "truth": truth,
         }
-        results["kappa_recovered_within_3_sigma"] = bool(
-            abs(fit.params[0] - truth["kappa_hz"]) <= 3.0 * max(fit.stderr[0], 1e-12)
-        )
+        results["kappa_recovered_within_3_sigma"] = bool(abs(fit.params[0] - truth["kappa_hz"]) <= 3.0 * max(fit.stderr[0], 1e-12))
     return _emit(args, cfg, results, residuals, curve=curve)
 
 
@@ -191,9 +189,7 @@ def cmd_compression(args) -> int:
 
     def plant(syn, rng):
         grid = np.linspace(syn["p_min_dbm"], syn["p_max_dbm"], syn["n_points"])
-        return synthetic.compression_sweep(
-            ssg, syn["p_mid_dbm"], syn["softness_db"], syn["depth_db"], grid, syn["noise_db"], rng
-        )
+        return synthetic.compression_sweep(ssg, syn["p_mid_dbm"], syn["softness_db"], syn["depth_db"], grid, syn["noise_db"], rng)
 
     sweep, truth = _sweep(args, c, plant)
     point = io_dynamics.compression_point(sweep, ssg)
@@ -244,7 +240,10 @@ def cmd_squeeze(args) -> int:
     s_measured = args.s if args.s is not None else c["s_measured"]
     if g_x_db is not None:
         results["g_x_db"] = g_x_db
-        results["s"] = squeeze.squeezing_factor(10.0 ** (g_x_db / 10.0), budget)
+        try:
+            results["s"] = squeeze.squeezing_factor(10.0 ** (g_x_db / 10.0), budget)
+        except (OverflowError, DomainError):  # 10**(g_x_db/10) overflows, or underflows to 0
+            raise DomainError(f"g_x_db = {g_x_db:g} dB gives no finite, positive quadrature gain") from None
     elif s_measured is not None:
         results["s"] = s_measured
         results["g_x_db"] = 10.0 * math.log10(squeeze.extract_gx(s_measured, budget))
@@ -307,62 +306,61 @@ def cmd_reproduce(args) -> int:
     checks = [{k: getattr(r, k) for k in fields} for r in results]
     bundle = make_bundle("reproduce", {"fixture": args.fixture, "seed": args.seed}, {"all_passed": all_pass, "checks": checks})
     if args.out:
-        write_bundle(bundle, args.out, args.format)
+        write_bundle(bundle, args.out, bundle_json(bundle), bundle_csv(bundle) if args.format == "csv" else None)
     return EXIT_OK if all_pass else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--out", help="directory for result.json and per-point CSVs")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed for synthetic data")
-    p.add_argument("--synthetic", action="store_true", help="plant-and-recover on generated data")
+# One row per subcommand: name -> (help, its arguments beyond COMMON_ARGS).
+# main() runs cmd_<name> (dashes as underscores), looked up at each call.
+COMMANDS = {
+    "design": ("stepped-impedance-filter coupling design numbers", {}),
+    "tune": ("resonance frequency versus dc bias current", {"--current": {"type": float, "help": "bias current in A"}}),
+    "gain": ("driven-cavity gain curve and bandwidth product", {}),
+    "pump-search": ("search the cheapest pump point for a target gain", {}),
+    "compression": ("1-dB compression point extraction", {}),
+    "noise-fit": ("added-noise fit from source thermometry", {}),
+    "hemt-fit": ("cryogenic amplifier noise calibration", {}),
+    "chain-propagate": ("photon-number propagation through the chain", {}),
+    "squeeze": ("squeezing factor, floor and quadrature gain",
+                {"--gx-db": {"type": float, "help": "quadrature gain in dB"}, "--s": {"type": float, "help": "measured squeezing factor"}}),
+    "field-shift": ("parallel-field frequency-shift fit", {}),
+    "temp-shift": ("temperature-dependent frequency shift curve", {}),
+    "device-temp": ("device temperature from a measured shift", {}),
+    "reproduce": ("run a built-in published-value check", {"fixture": {"help": "fixture id or 'all'"}}),
+}
+COMMON_ARGS = {
+    "--config": {"help": "JSON configuration file"},
+    "--out": {"help": "directory for result.json and per-point CSVs"},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--seed": {"type": int, "default": 0, "help": "PRNG seed for synthetic data"},
+    "--synthetic": {"action": "store_true", "help": "plant-and-recover on generated data"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new argparse tree over COMMANDS; main() builds one per process."""
     parser = argparse.ArgumentParser(
         prog="kipa-lab",
         description="Modeling, simulation and parameter extraction for dc-biased "
         "three-wave-mixing kinetic-inductance parametric amplifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    handlers = {
-        "design": (cmd_design, "stepped-impedance-filter coupling design numbers"),
-        "tune": (cmd_tune, "resonance frequency versus dc bias current"),
-        "gain": (cmd_gain, "driven-cavity gain curve and bandwidth product"),
-        "pump-search": (cmd_pump_search, "search the cheapest pump point for a target gain"),
-        "compression": (cmd_compression, "1-dB compression point extraction"),
-        "noise-fit": (cmd_noise_fit, "added-noise fit from source thermometry"),
-        "hemt-fit": (cmd_hemt_fit, "cryogenic amplifier noise calibration"),
-        "chain-propagate": (cmd_chain_propagate, "photon-number propagation through the chain"),
-        "squeeze": (cmd_squeeze, "squeezing factor, floor and quadrature gain"),
-        "field-shift": (cmd_field_shift, "parallel-field frequency-shift fit"),
-        "temp-shift": (cmd_temp_shift, "temperature-dependent frequency shift curve"),
-        "device-temp": (cmd_device_temp, "device temperature from a measured shift"),
-        "reproduce": (cmd_reproduce, "run a built-in published-value check"),
-    }
-    for name, (fn, helptext) in handlers.items():
+    for name, (helptext, extra) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        if name == "reproduce":
-            p.add_argument("fixture", help="fixture id or 'all'")
-        _add_common(p)
-        p.set_defaults(handler=fn)
-        if name == "tune":
-            p.add_argument("--current", type=float, help="bias current in A")
-        if name == "squeeze":
-            p.add_argument("--gx-db", dest="gx_db", type=float, help="quadrature gain in dB")
-            p.add_argument("--s", type=float, help="measured squeezing factor")
+        for flag, kwargs in {**COMMON_ARGS, **extra}.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
+    global _parser
     level = os.environ.get("KIPA_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

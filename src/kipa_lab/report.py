@@ -59,19 +59,17 @@ def bundle_csv(bundle: dict) -> str:
     return buf.getvalue()
 
 
-def write_bundle(bundle: dict, out_dir: str, fmt: str = "json") -> list[str]:
-    """Write the bundle under out_dir; returns the created paths."""
+def write_bundle(bundle: dict, out_dir: str, json_text: str, csv_text: Optional[str]) -> list[str]:
+    """Write the bundle under out_dir from the texts its caller encoded once:
+    result.json (bundle_json), result.csv unless csv_text is None
+    (bundle_csv), and residuals.csv; returns the created paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    result_path = os.path.join(out_dir, "result.json")
-    with open(result_path, "w") as fh:
-        fh.write(bundle_json(bundle))
-    paths.append(result_path)
-    if fmt == "csv":
-        csv_path = os.path.join(out_dir, "result.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(bundle_csv(bundle))
-        paths.append(csv_path)
+    for name, text in (("result.json", json_text), ("result.csv", csv_text)):
+        if text is not None:
+            paths.append(os.path.join(out_dir, name))
+            with open(paths[-1], "w") as fh:
+                fh.write(text)
     if "residuals" in bundle and bundle["residuals"]:
         res_path = os.path.join(out_dir, "residuals.csv")
         keys = list(bundle["residuals"][0].keys())

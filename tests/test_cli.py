@@ -232,6 +232,23 @@ def test_squeeze_needs_an_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+@pytest.mark.parametrize("g_x_db", [1e300, -1e300])
+def test_squeeze_out_of_range_gx_names_the_key(tmp_path, capsys, where, g_x_db):
+    cfg = tmp_path / "b.json"
+    if where == "config":
+        cfg.write_text(_edited("budget.json", g_x_db, "g_x_db"))
+        argv = ["squeeze", "--config", str(cfg)]
+    else:
+        argv = ["squeeze", "--config", str(CONFIGS / "budget.json"), f"--gx-db={g_x_db!r}"]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:") and "g_x_db" in lines[0]
+
+
 def test_field_shift_synthetic_theta(capsys):
     code, doc = run_json(capsys, "field-shift", "--config", str(CONFIGS / "field.json"), "--synthetic")
     assert code == 0

@@ -1,0 +1,134 @@
+"""Repeated in-process calls of kipa_lab.cli.main.
+
+main() builds its argparse tree once per process and reuses it, so no flag
+of one call may reach the next.  Each bundle is encoded once: the files under
+--out hold the very text printed on stdout.  The perfbench tracer wraps the
+CLI from outside; its spans must see every handler call and must not stack
+up over many calls.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from kipa_lab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
+# Every command that prints its bundle, on a bundled config; gain --synthetic
+# carries 2001 residual rows.  reproduce prints check lines, not its bundle.
+BUNDLE_COMMANDS = [
+    ["design", "--config", "sif.json"],
+    ["tune", "--config", "device.json", "--synthetic"],
+    ["gain", "--config", "gain.json"],
+    ["gain", "--config", "gain.json", "--synthetic"],
+    ["pump-search", "--config", "pump_search.json"],
+    ["compression", "--config", "compression.json", "--synthetic"],
+    ["noise-fit", "--config", "chain.json", "--synthetic"],
+    ["hemt-fit", "--config", "chain.json", "--synthetic"],
+    ["chain-propagate", "--config", "chain.json"],
+    ["squeeze", "--config", "budget.json"],
+    ["field-shift", "--config", "field.json", "--synthetic"],
+    ["temp-shift", "--config", "temp.json"],
+    ["device-temp", "--config", "temp.json"],
+]
+
+
+def _argv(argv):
+    return [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
+
+
+def _results(capsys, *argv):
+    code = cli.main(_argv(list(argv)))
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_three_calls_build_the_parser_once(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    for argv in (["design", "--config", "sif.json"], ["squeeze", "--config", "budget.json"], ["tune", "--config", "device.json"]):
+        _results(capsys, *argv)
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_tune_current_does_not_reach_the_next_call(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "device.json").read_text())
+    doc["bias_current_a"] = 5e-5
+    cfg = tmp_path / "device.json"
+    cfg.write_text(json.dumps(doc))
+    assert _results(capsys, "tune", "--config", str(cfg), "--current", "1e-4")["bias_current_a"] == 1e-4
+    assert _results(capsys, "tune", "--config", str(cfg))["bias_current_a"] == 5e-5
+
+
+def test_squeeze_gx_does_not_reach_the_next_call(capsys):
+    first = _results(capsys, "squeeze", "--config", "budget.json", "--gx-db", "-2.95")
+    assert first["g_x_db"] == -2.95
+    second = _results(capsys, "squeeze", "--config", "budget.json", "--s", "0.99")
+    assert second["s"] == 0.99
+    assert second["g_x_db"] != pytest.approx(-2.95, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=[" ".join(a[:1] + a[3:]) for a in BUNDLE_COMMANDS])
+def test_written_files_match_stdout(tmp_path, capsys, argv):
+    stdout = {}
+    for fmt in ("json", "csv"):
+        assert cli.main(_argv(argv) + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        stdout[fmt] = capsys.readouterr().out.encode("utf-8")
+    assert (tmp_path / "json" / "result.json").read_bytes() == stdout["json"]
+    assert not (tmp_path / "json" / "result.csv").exists()
+    assert (tmp_path / "csv" / "result.csv").read_bytes() == stdout["csv"]
+    assert (tmp_path / "csv" / "result.json").read_bytes() == stdout["json"]
+
+
+TRACED = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import tracer
+    from kipa_lab import cli
+
+    config, out = sys.argv[1], sys.argv[2]
+    with contextlib.redirect_stdout(io.StringIO()):  # the parser exists before tracing starts
+        assert cli.main(["design", "--config", config + "/sif.json"]) == 0
+    tr = tracer.Tracer()
+    tracer.install(tr)
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gain", "--config", config + "/gain.json", "--synthetic", "--out", out]) == 0
+    counts = dict(tr.snapshot()["counts"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = {cli.main(["design", "--config", config + "/sif.json"]) for _ in range(600)}
+    print(json.dumps({"counts": counts, "design_codes": sorted(codes)}))
+    """
+)
+
+
+def test_tracer_sees_each_handler_and_does_not_stack(tmp_path):
+    """The tracer replaces cli's cmd_* and report's functions after the
+    parser exists; main() must run the replaced handlers, encode each bundle
+    once, and stay flat over many calls, as when build_parser returns a new
+    parser for the tracer to wrap.  Run in a subprocess so the wrappers stay
+    out of this one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED, str(CONFIGS), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["counts"].get("cli.handler", 0) == 2
+    assert doc["counts"]["report.bundle_json"] == 2
+    assert doc["counts"]["report.write_bundle"] == 2
+    assert doc["design_codes"] == [0]
