@@ -24,7 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from . import env_models, io_dynamics, ki_device, microwave_net, noise_cal, squeeze, synthetic
 from .errors import ConfigError, DomainError, FitError, KipaLabError
-from .fitkit import nlls_fit
+from .fitkit import finite, nlls_fit
 from .io_dynamics import GainCurve
 from .quantities import BOLTZMANN
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
@@ -81,17 +81,14 @@ def _sweep(args, c: dict, plant):
     return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
 
 
-def _rows(**columns) -> list:
-    """Per-point residual rows from equal-length numeric columns."""
-    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
-
-
 def cmd_design(args) -> int:
     cfg, c = _load_config(args)
     sif = cfgmod.parse_sif(c["sif"])
-    results = {"z_eff_ohm": microwave_net.effective_impedance(sif), "q_c": microwave_net.coupling_q(sif),
-               "kappa_hz": microwave_net.coupling_rate(sif)}
+    try:
+        results = {"z_eff_ohm": microwave_net.effective_impedance(sif), "q_c": microwave_net.coupling_q(sif),
+                   "kappa_hz": microwave_net.coupling_rate(sif)}
+    except ArithmeticError:  # z_l^(2 n_l) / (z_h^(2 n_h) z_0) left the float range
+        raise DomainError(f"sif z_l_ohm = {sif.z_l:g} and z_h_ohm = {sif.z_h:g} put the effective impedance out of float range") from None
     return _emit(args, cfg, results)
 
 
@@ -106,7 +103,7 @@ def cmd_tune(args) -> int:
         sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn["noise_frac"], np.random.default_rng(args.seed))
         fit = ki_device.fit_clem_tuning(sweep, res.f_r0, res.alpha)
         model_f = ki_device.clem_frequency(sweep.x, res.f_r0, res.alpha, *fit.params)
-        residuals = _rows(x=sweep.x, y=sweep.y, model=model_f, residual=sweep.y - model_f)
+        residuals = dict(x=sweep.x, y=sweep.y, model=model_f, residual=sweep.y - model_f)
         results["fit"] = {
             "i_star_a": float(fit.params[0]),
             "clem_exponent": float(fit.params[1]),
@@ -155,7 +152,7 @@ def cmd_gain(args) -> int:
         p0 = [kappa_hz * 1.05, gamma_hz + 0.01 * kappa_hz, delta_hz + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
         fit = nlls_fit(lambda x, p: synthetic.gain_db_model(x, p, cav.f_pump), sweep, p0)
         model_y = synthetic.gain_db_model(sweep.x, fit.params, cav.f_pump)
-        residuals = _rows(f_hz=sweep.x, gain_db=sweep.y, model_db=model_y, residual_db=sweep.y - model_y)
+        residuals = dict(f_hz=sweep.x, gain_db=sweep.y, model_db=model_y, residual_db=sweep.y - model_y)
         results["fit"] = {
             "kappa_hz": float(fit.params[0]),
             "kappa_sigma_hz": float(fit.stderr[0]),
@@ -204,7 +201,7 @@ def cmd_noise_fit(args) -> int:
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     y_model = sweep.x + fit.t_add + chain.t_bkg / (chain.g_hemt * chain.g)
     scale = chain.g_tot * BOLTZMANN * chain.bandwidth
-    residuals = _rows(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=sweep.y / scale - y_model)
+    residuals = dict(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=sweep.y / scale - y_model)
     results = {"t_add_k": fit.t_add, "t_add_sigma_k": fit.t_add_sigma, "t_kipa_k": t_kipa, "slope": fit.slope}
     return _emit(args, cfg, results, residuals, truth=truth, sweep=sweep)
 
@@ -223,11 +220,13 @@ def cmd_chain_propagate(args) -> int:
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     n_in, f_hz = c["n_in_photons"], c["f_hz"]
-    trace = noise_cal.propagate_chain(n_in, chain.elements, f_hz)
-    residuals = [
-        {"index": i, "label": e.label, "value_db": e.value_db, "temperature_k": e.physical_temperature, "n_photons": n}
-        for i, (e, n) in enumerate(zip(chain.elements, trace))
-    ]
+    try:
+        trace = noise_cal.propagate_chain(n_in, chain.elements, f_hz)
+    except ArithmeticError:  # h f / k_B T underflows to 0
+        raise DomainError(f"f_hz = {f_hz:g} Hz puts the thermal occupation of the chain out of float range") from None
+    els = chain.elements
+    residuals = {"index": list(range(len(els))), "label": [e.label for e in els], "value_db": [e.value_db for e in els],
+                 "temperature_k": [e.physical_temperature for e in els], "n_photons": trace}
     results = {"n_in_photons": n_in, "f_hz": f_hz, "n_out_photons": trace[-1] if trace else n_in}
     return _emit(args, cfg, results, residuals)
 
@@ -279,8 +278,11 @@ def cmd_temp_shift(args) -> int:
     f_r = c["f_r_hz"]
     t = c["temperatures_k"]
     t = np.linspace(env_models.QUARTIC_T_MIN_K, model.quartic_t_max, 36) if t is None else np.asarray(t, dtype=float)
-    rel = env_models.temp_frequency_shift(t, f_r, model)
-    return _emit(args, cfg, {"f_r_hz": f_r, "n_points": t.size}, _rows(t_k=t, rel_shift=rel, delta_f_hz=rel * f_r))
+    try:
+        rel = env_models.temp_frequency_shift(t, f_r, model)
+    except ArithmeticError:  # (k_B T / gap)^4 overflows
+        raise DomainError(f"temp_model.critical_temperature_k = {model.t_c:g} K puts the quartic shift out of float range") from None
+    return _emit(args, cfg, {"f_r_hz": f_r, "n_points": t.size}, dict(t_k=t, rel_shift=rel, delta_f_hz=rel * f_r))
 
 
 def cmd_device_temp(args) -> int:
@@ -314,7 +316,7 @@ def cmd_reproduce(args) -> int:
 # main() runs cmd_<name> (dashes as underscores), looked up at each call.
 COMMANDS = {
     "design": ("stepped-impedance-filter coupling design numbers", {}),
-    "tune": ("resonance frequency versus dc bias current", {"--current": {"type": float, "help": "bias current in A"}}),
+    "tune": ("resonance frequency versus dc bias current", {"--current": {"type": finite, "help": "bias current in A"}}),
     "gain": ("driven-cavity gain curve and bandwidth product", {}),
     "pump-search": ("search the cheapest pump point for a target gain", {}),
     "compression": ("1-dB compression point extraction", {}),
@@ -322,7 +324,7 @@ COMMANDS = {
     "hemt-fit": ("cryogenic amplifier noise calibration", {}),
     "chain-propagate": ("photon-number propagation through the chain", {}),
     "squeeze": ("squeezing factor, floor and quadrature gain",
-                {"--gx-db": {"type": float, "help": "quadrature gain in dB"}, "--s": {"type": float, "help": "measured squeezing factor"}}),
+                {"--gx-db": {"type": finite, "help": "quadrature gain in dB"}, "--s": {"type": finite, "help": "measured squeezing factor"}}),
     "field-shift": ("parallel-field frequency-shift fit", {}),
     "temp-shift": ("temperature-dependent frequency shift curve", {}),
     "device-temp": ("device temperature from a measured shift", {}),

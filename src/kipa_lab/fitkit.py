@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +53,8 @@ class SweepRecord:
         return 1.0 / self.sigma_y**2
 
     def to_csv(self, path) -> None:
-        sigma = [""] * len(self) if self.sigma_y is None else self.sigma_y.tolist()
         with open(path, "w", newline="") as fh:
-            write_csv(fh, ["x", "y", "sigma_y"], zip(self.x.tolist(), self.y.tolist(), sigma))
+            write_csv(fh, ["x", "y", "sigma_y"], [self.x, self.y, [""] * len(self) if self.sigma_y is None else self.sigma_y])
 
     @classmethod
     def from_csv(cls, path) -> "SweepRecord":
@@ -70,10 +69,10 @@ class SweepRecord:
         start = 1 if rows and not _is_number(rows[0][1][0]) else 0  # optional header
         for line, r in rows[start:]:
             try:
-                xs.append(_finite(r[0]))
-                ys.append(_finite(r[1]))
+                xs.append(finite(r[0]))
+                ys.append(finite(r[1]))
                 if len(r) > 2 and r[2].strip():
-                    ss.append(_finite(r[2]))
+                    ss.append(finite(r[2]))
                 else:
                     blank.append(line)
             except (IndexError, ValueError):
@@ -86,18 +85,32 @@ class SweepRecord:
         return cls(np.array(xs), np.array(ys), sigma)
 
 
-def write_csv(fh, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as CSV to an open text stream.
-
-    Every CSV file and CSV report of the package goes through here.  Python
-    floats are written as their shortest round-trip repr.
-    """
-    w = csv.writer(fh)
-    w.writerow(header)
-    w.writerows(rows)
+def float_column(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
 
 
-def _finite(s: str) -> float:
+def _csv_cells(col) -> list:
+    """A float array's cells as float.__repr__; any other cell as str() (None
+    as empty), quoted where it holds a comma, a quote or a line break."""
+    if float_column(col):
+        return list(map(float.__repr__, col.tolist()))
+    cells = ["" if v is None else str(v) for v in col]
+    text = "".join(cells)
+    if any(c in text for c in ',"\r\n'):
+        cells = ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in cells]
+    return cells
+
+
+def write_csv(fh, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header and equal-length columns to an open text stream as csv.writer
+    writes the rows.  Every CSV file and CSV report of the package goes through here."""
+    head, cells = _csv_cells(list(header)), [_csv_cells(c) for c in columns]
+    if len(cells) == 1:  # csv.writer quotes a row that is one empty field
+        head, cells[0] = [[t or '""' for t in col] for col in (head, cells[0])]
+    fh.write("\r\n".join([",".join(head), *map(",".join, zip(*cells)), ""]))
+
+
+def finite(s: str) -> float:
     """float(s), with ValueError for nan and +-inf as for any non-number."""
     v = float(s)
     if not math.isfinite(v):

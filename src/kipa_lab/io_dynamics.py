@@ -234,10 +234,8 @@ class GainCurve:
         return cls.from_gains(f_hz, signal_gain(cav, np.asarray(f_hz, dtype=float)))
 
     def to_csv(self, path) -> None:
-        g = self.complex_gain
-        rows = zip(self.f_hz.tolist(), g.real.tolist(), g.imag.tolist(), self.power_gain_db.tolist())
         with open(path, "w", newline="") as fh:
-            write_csv(fh, ["f_hz", "re_g", "im_g", "gain_db"], rows)
+            write_csv(fh, ["f_hz", "re_g", "im_g", "gain_db"], [self.f_hz, self.complex_gain.real, self.complex_gain.imag, self.power_gain_db])
 
 
 def degenerate_gain(cav: PumpedCavity, psi_p: float) -> complex:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,3 +484,49 @@ def test_log_env_variable(monkeypatch, capsys):
     monkeypatch.setenv("KIPA_LAB_LOG", "DEBUG")
     code, _ = run(capsys, "design", "--config", str(CONFIGS / "sif.json"))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["squeeze", "--config", str(CONFIGS / "budget.json"), "--gx-db=nan"], "--gx-db"),
+        (["squeeze", "--config", str(CONFIGS / "budget.json"), "--gx-db=inf"], "--gx-db"),
+        (["squeeze", "--config", str(CONFIGS / "budget.json"), "--s=nan"], "--s"),
+        (["squeeze", "--config", str(CONFIGS / "budget.json"), "--s=-inf"], "--s"),
+        (["tune", "--config", str(CONFIGS / "device.json"), "--current=nan"], "--current"),
+        (["tune", "--config", str(CONFIGS / "device.json"), "--current=inf"], "--current"),
+    ],
+    ids=["gx-db-nan", "gx-db-inf", "s-nan", "s-minus-inf", "current-nan", "current-inf"],
+)
+def test_non_finite_float_flag_exits_2(capsys, argv, flag):
+    # A non-finite flag is a usage error naming the flag, like a NaN config literal (exit 2).
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and f"argument {flag}: invalid finite value" in errors[0], err
+
+
+@pytest.mark.parametrize(
+    "config, value, path, argv",
+    [
+        ("sif.json", 1e300, ("sif", "z_l_ohm"), ["design"]),
+        ("sif.json", 1e300, ("sif", "z_h_ohm"), ["design"]),
+        ("chain.json", 1e-300, ("f_hz",), ["chain-propagate"]),
+        ("temp.json", 1e-300, ("temp_model", "critical_temperature_k"), ["temp-shift"]),
+    ],
+    ids=["design-z_l", "design-z_h", "chain-propagate-f_hz", "temp-shift-critical-temperature"],
+)
+def test_extreme_config_value_names_the_key(tmp_path, capsys, config, value, path, argv):
+    cfg = tmp_path / config
+    cfg.write_text(_edited(config, value, *path))
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code = cli.main([*argv, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:") and path[-1] in lines[0], err
