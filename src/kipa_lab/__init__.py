@@ -3,15 +3,3 @@ amplifiers: device design, input-output gain and squeezing predictions, and
 calibration fits for measured or synthetic sweep data."""
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    env_models,
-    errors,
-    fitkit,
-    io_dynamics,
-    ki_device,
-    microwave_net,
-    noise_cal,
-    quantities,
-    squeeze,
-)

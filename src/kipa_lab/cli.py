@@ -19,7 +19,10 @@ import math
 import os
 import sys
 
-import numpy as np
+if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # the fits' products have <= 4 columns: a BLAS thread pool would idle
+
+import numpy as np  # noqa: E402
 
 from . import config as cfgmod
 from . import env_models, io_dynamics, ki_device, microwave_net, noise_cal, squeeze, synthetic
@@ -87,8 +90,11 @@ def cmd_design(args) -> int:
     try:
         results = {"z_eff_ohm": microwave_net.effective_impedance(sif), "q_c": microwave_net.coupling_q(sif),
                    "kappa_hz": microwave_net.coupling_rate(sif)}
+        if not all(map(math.isfinite, results.values())):  # a product overflowed to inf without raising
+            raise OverflowError
     except ArithmeticError:  # z_l^(2 n_l) / (z_h^(2 n_h) z_0) left the float range
-        raise DomainError(f"sif z_l_ohm = {sif.z_l:g} and z_h_ohm = {sif.z_h:g} put the effective impedance out of float range") from None
+        raise DomainError(f"sif.z_l_ohm = {sif.z_l:g}, sif.z_h_ohm = {sif.z_h:g} and sif.z_0_ohm = {sif.z_0:g} "
+                          "put the coupling out of float range") from None
     return _emit(args, cfg, results)
 
 
@@ -295,7 +301,11 @@ def cmd_device_temp(args) -> int:
         rel = c["delta_f_hz"] / f_r
     else:
         raise ConfigError("device-temp needs delta_omega_rel or delta_f_hz")
-    t = env_models.device_temp_from_shift(rel, f_r, model, **c["solve"])
+    solve = {"t_min": env_models.INVERSION_T_MIN_K, "t_max": model.quartic_t_max, **c["solve"]}
+    if not solve["t_max"] > solve["t_min"] > 0.0:
+        raise DomainError(f"need 0 < t_min_k < t_max_k (default {env_models.QUARTIC_T_MAX_OVER_TC:g} "
+                          f"temp_model.critical_temperature_k), got {solve['t_min']:g} K and {solve['t_max']:g} K")
+    t = env_models.device_temp_from_shift(rel, f_r, model, **solve)
     return _emit(args, cfg, {"t_dev_k": t, "rel_shift": rel})
 
 

@@ -38,6 +38,8 @@ DEFAULT_C4 = BCS_GAP_RATIO**4
 #: of the monotonicity check and of the inversion.
 QUARTIC_T_MIN_K = 0.05
 QUARTIC_T_MAX_OVER_TC = 0.4
+#: Default lower end of the device-temperature inversion, in K.
+INVERSION_T_MIN_K = 0.02
 
 
 @dataclass(frozen=True)
@@ -339,7 +341,7 @@ def device_temp_from_shift(
     delta_omega_rel: float,
     f_r: float,
     model: TempModel,
-    t_min: float = 0.02,
+    t_min: float = INVERSION_T_MIN_K,
     t_max: Optional[float] = None,
 ) -> float:
     """Invert the shift model for temperature by bisection (tol = 10 uK).

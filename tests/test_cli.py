@@ -516,8 +516,11 @@ def test_non_finite_float_flag_exits_2(capsys, argv, flag):
         ("sif.json", 1e300, ("sif", "z_h_ohm"), ["design"]),
         ("chain.json", 1e-300, ("f_hz",), ["chain-propagate"]),
         ("temp.json", 1e-300, ("temp_model", "critical_temperature_k"), ["temp-shift"]),
+        ("sif.json", 1e-300, ("sif", "z_0_ohm"), ["design"]),
+        ("temp.json", 1e-300, ("temp_model", "critical_temperature_k"), ["device-temp"]),
     ],
-    ids=["design-z_l", "design-z_h", "chain-propagate-f_hz", "temp-shift-critical-temperature"],
+    ids=["design-z_l", "design-z_h", "chain-propagate-f_hz", "temp-shift-critical-temperature", "design-z_0",
+         "device-temp-critical-temperature"],
 )
 def test_extreme_config_value_names_the_key(tmp_path, capsys, config, value, path, argv):
     cfg = tmp_path / config
