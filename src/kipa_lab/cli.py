@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 
 if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # the fits' products have <= 4 columns: a BLAS thread pool would idle
@@ -25,13 +26,10 @@ if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
 import numpy as np  # noqa: E402
 
 from . import config as cfgmod
-from . import env_models, io_dynamics, ki_device, microwave_net, noise_cal, squeeze, synthetic
 from .errors import ConfigError, DomainError, FitError, KipaLabError
 from .fitkit import finite, nlls_fit
-from .io_dynamics import GainCurve
 from .quantities import BOLTZMANN
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
-from .reproduce import run_fixture
 
 log = logging.getLogger("kipa_lab")
 
@@ -85,6 +83,7 @@ def _sweep(args, c: dict, plant):
 
 
 def cmd_design(args) -> int:
+    from . import microwave_net
     cfg, c = _load_config(args)
     sif = cfgmod.parse_sif(c["sif"])
     try:
@@ -99,6 +98,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from . import ki_device, synthetic
     cfg, c = _load_config(args)
     res = cfgmod.parse_device(c["device"]).resonator
     results: dict = {}
@@ -124,6 +124,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_gain(args) -> int:
+    from . import io_dynamics, synthetic
     cfg, c = _load_config(args)
     cav = cfgmod.parse_cavity(c["cavity"])
     grid = c["grid"]
@@ -134,7 +135,7 @@ def cmd_gain(args) -> int:
     curve = None
     if cav.is_stable:
         with np.errstate(all="ignore"):
-            curve = GainCurve.from_cavity(cav, np.linspace(center - span / 2.0, center + span / 2.0, n))
+            curve = io_dynamics.GainCurve.from_cavity(cav, np.linspace(center - span / 2.0, center + span / 2.0, n))
         if not np.isfinite(curve.power_gain_db).all():
             raise DomainError(f"the gain curve is not finite on the grid of {n} points over {span:g} Hz around {center:g} Hz")
         i_pk = int(np.argmax(curve.power_gain_db))
@@ -174,6 +175,7 @@ def cmd_gain(args) -> int:
 
 
 def cmd_pump_search(args) -> int:
+    from . import io_dynamics, synthetic
     cfg, c = _load_config(args)
     law = synthetic.PumpMap(**c["map"])
     search = c["search"]
@@ -187,6 +189,7 @@ def cmd_pump_search(args) -> int:
 
 
 def cmd_compression(args) -> int:
+    from . import io_dynamics, synthetic
     cfg, c = _load_config(args)
     ssg = c["small_signal_gain_db"]
 
@@ -200,6 +203,7 @@ def cmd_compression(args) -> int:
 
 
 def cmd_noise_fit(args) -> int:
+    from . import noise_cal, synthetic
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
@@ -213,6 +217,7 @@ def cmd_noise_fit(args) -> int:
 
 
 def cmd_hemt_fit(args) -> int:
+    from . import noise_cal, synthetic
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     f_signal = c["f_signal_hz"]
@@ -223,6 +228,7 @@ def cmd_hemt_fit(args) -> int:
 
 
 def cmd_chain_propagate(args) -> int:
+    from . import noise_cal
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     n_in, f_hz = c["n_in_photons"], c["f_hz"]
@@ -238,6 +244,7 @@ def cmd_chain_propagate(args) -> int:
 
 
 def cmd_squeeze(args) -> int:
+    from . import squeeze
     cfg, c = _load_config(args)
     budget = cfgmod.parse_budget(c["budget"])
     results = {"s_min": squeeze.max_measurable_squeezing(budget)}
@@ -258,6 +265,7 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_field_shift(args) -> int:
+    from . import env_models, synthetic
     cfg, c = _load_config(args)
     model = cfgmod.parse_field_model(c["field_model"])
 
@@ -279,6 +287,7 @@ def cmd_field_shift(args) -> int:
 
 
 def cmd_temp_shift(args) -> int:
+    from . import env_models
     cfg, c = _load_config(args)
     model = cfgmod.parse_temp_model(c["temp_model"])
     f_r = c["f_r_hz"]
@@ -292,6 +301,7 @@ def cmd_temp_shift(args) -> int:
 
 
 def cmd_device_temp(args) -> int:
+    from . import env_models
     cfg, c = _load_config(args)
     model = cfgmod.parse_temp_model(c["temp_model"])
     f_r = c["f_r_hz"]
@@ -310,6 +320,7 @@ def cmd_device_temp(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import run_fixture
     results = run_fixture(args.fixture)
     all_pass = all(r.passed for r in results)
     for r in results:
@@ -372,7 +383,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        with warnings.catch_warnings():  # keeps the caller's filters but forgets which warnings were shown, as a new process does
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

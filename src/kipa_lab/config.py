@@ -1,6 +1,7 @@
 """Configuration ingestion: the config format as one schema table, the
 reader that checks a block against it, the parsers that build library
-objects from checked blocks, and the canonical config hash.
+objects from checked blocks, and the canonical config hash.  Each parser
+imports the class it builds when it runs, so a config loads no law it skips.
 
 All dB fields end in ``_db`` (power convention), SI fields carry their unit
 as a suffix.  Each block is read only under its own name; measured sweeps
@@ -13,16 +14,8 @@ import hashlib
 import json
 import math
 
-from .env_models import FieldModel, TempModel
 from .errors import ConfigError, DomainError
-from .fitkit import SweepRecord
-from .io_dynamics import PumpedCavity
-from .ki_device import DeviceParams, FilmParams, ResonatorParams
-from .microwave_net import SifDesign
-from .noise_cal import ChainElement, ReceiverChain
-from .reproduce import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA
-from .squeeze import SqueezeBudget
-from .synthetic import vts_setpoint_ladder
+from .quantities import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA, vts_setpoint_ladder
 
 #: Upper bound of every count and list length: points per sweep.
 MAX_POINTS = 10**6
@@ -360,29 +353,35 @@ def _build(make, where: str, kwargs: dict):
 
 
 def parse_film(d: dict) -> FilmParams:
+    from .ki_device import FilmParams
     return _build(FilmParams, "device.film", read(d, "film", "device.film"))
 
 
 def parse_resonator(d: dict) -> ResonatorParams:
+    from .ki_device import ResonatorParams
     return _build(ResonatorParams, "device.resonator", read(d, "resonator", "device.resonator"))
 
 
 def parse_device(d: dict) -> DeviceParams:
+    from .ki_device import DeviceParams
     blocks = read(d, "device", "device")
     return DeviceParams(film=parse_film(blocks["film"]), resonator=parse_resonator(blocks["resonator"]))
 
 
 def parse_sif(d: dict) -> SifDesign:
+    from .microwave_net import SifDesign
     return _build(SifDesign, "sif", read(d, "sif", "sif"))
 
 
 def parse_chain(d: dict) -> ReceiverChain:
+    from .noise_cal import ChainElement, ReceiverChain
     kw = read(d, "chain", "chain")
     kw["elements"] = [_build(ChainElement, f"chain.elements[{i}]", e) for i, e in enumerate(kw["elements"])]
     return _build(ReceiverChain, "chain", kw)
 
 
 def parse_cavity(d: dict) -> PumpedCavity:
+    from .io_dynamics import PumpedCavity
     kw = read(d, "cavity", "cavity")
     xi_hz, xi_frac, phase = kw.pop("xi_hz"), kw.pop("xi_frac_of_kbar"), kw.pop("xi_phase_rad")
     if xi_hz is None and xi_frac is None:
@@ -393,18 +392,22 @@ def parse_cavity(d: dict) -> PumpedCavity:
 
 
 def parse_budget(d: dict) -> SqueezeBudget:
+    from .squeeze import SqueezeBudget
     return _build(SqueezeBudget, "budget", read(d, "budget", "budget"))
 
 
 def parse_field_model(d: dict) -> FieldModel:
+    from .env_models import FieldModel
     return _build(FieldModel, "field_model", read(d, "field_model", "field_model"))
 
 
 def parse_temp_model(d: dict) -> TempModel:
+    from .env_models import TempModel
     return _build(TempModel, "temp_model", read(d, "temp_model", "temp_model"))
 
 
 def read_sweep(path) -> SweepRecord:
+    from .fitkit import SweepRecord
     try:
         return SweepRecord.from_csv(path)
     except OSError as exc:

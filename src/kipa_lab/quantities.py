@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 # CODATA 2018 / SI 2019 exact values.
@@ -27,6 +29,11 @@ BOLTZMANN = 1.380649e-23  # J / K
 E_CHARGE = 1.602176634e-19  # C
 MU_0 = 1.25663706212e-6  # H / m
 EULER_GAMMA = 0.5772156649015329
+
+# The reference operating point and VTS ladder, defaults of the config schema.
+REFERENCE_F_SIGNAL = 5.6735e9  # Hz
+REFERENCE_T_KIPA = 0.286  # K
+VTS_LADDER_STEPS = 4  # source temperatures on a VTS ladder
 
 
 def db_to_linear(db: float) -> float:
@@ -78,3 +85,8 @@ def quantum_limit_temperature(f) -> float:
     if f_hz <= 0.0:
         raise DomainError(f"frequency must be positive, got {f_hz} Hz")
     return PLANCK * f_hz / (2.0 * BOLTZMANN)
+
+
+def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
+    """Geometric ladder of VTS_LADDER_STEPS source temperatures, endpoints included."""
+    return list(np.geomspace(lo_k, hi_k, VTS_LADDER_STEPS))

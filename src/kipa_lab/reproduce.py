@@ -16,11 +16,7 @@ import numpy as np
 from . import env_models, io_dynamics, ki_device, microwave_net, noise_cal, squeeze, synthetic
 from .errors import ConfigError
 from .fitkit import SweepRecord
-from .quantities import (
-    EULER_GAMMA,
-    photon_temperature_equivalent,
-    quantum_limit_temperature,
-)
+from .quantities import EULER_GAMMA, REFERENCE_F_SIGNAL, REFERENCE_T_KIPA, photon_temperature_equivalent, quantum_limit_temperature
 
 #: Published design of the reference stepped-impedance filter.
 REFERENCE_SIF = microwave_net.SifDesign(z_l=450.0, z_h=900.0, n_l=6, n_h=5, z_0=50.0, z_r=900.0, f_0=5.75e9)
@@ -38,8 +34,6 @@ REFERENCE_RESONATOR = ki_device.ResonatorParams(
     center_width=2.0e-6,
 )
 
-REFERENCE_F_SIGNAL = 5.6735e9  # Hz
-REFERENCE_T_KIPA = 0.286  # K
 REFERENCE_T_HEMT = 1.95  # K
 
 

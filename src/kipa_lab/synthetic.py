@@ -2,24 +2,21 @@
 
 Every generator takes a numpy Generator (PCG64 recommended; the CLI builds
 one from --seed) so identical seeds give bit-identical datasets within one
-build.  Returned truth dictionaries carry the planted parameters.
+build.  Returned truth dictionaries carry the planted parameters.  Each
+generator imports the law it plants when it runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
 from .fitkit import SweepRecord
-from .io_dynamics import GainCurve, PumpedCavity, peak_gain_db, signal_gain
-from .ki_device import ResonatorParams, resonance_vs_bias
-from .noise_cal import ReceiverChain, VtsSetpoint, hemt_input_noise, input_noise, vts_output_noise
-from .quantities import BOLTZMANN
-from .env_models import FieldModel, field_frequency_shift
+from .quantities import BOLTZMANN, vts_setpoint_ladder  # noqa: F401 - the ladder is re-exported
 
 
 def _with_relative_noise(x, y, noise_frac: float, rng: np.random.Generator) -> SweepRecord:
@@ -43,6 +40,7 @@ def gain_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """Driven-cavity power-gain curve in dB with additive Gaussian noise."""
+    from .io_dynamics import GainCurve, PumpedCavity
     kbar_hz = kappa_hz + gamma_hz / 2.0
     xi_hz = xi_frac_of_kbar * kbar_hz
     cav = PumpedCavity.from_ordinary(kappa_hz, gamma_hz, delta_hz, -1j * xi_hz, f_pump_hz)
@@ -68,6 +66,7 @@ def gain_db_model(f: np.ndarray, p: Sequence[float], f_pump_hz: float) -> np.nda
     through their absolute values so trial steps of an optimizer cannot
     leave the physical domain.
     """
+    from .io_dynamics import PumpedCavity, signal_gain
     kappa_hz, gamma_hz, delta_hz, xi_hz = p
     cav = PumpedCavity.from_ordinary(
         abs(kappa_hz), abs(gamma_hz), delta_hz, -1j * abs(xi_hz), f_pump_hz
@@ -86,6 +85,7 @@ def noise_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_in, P_out) thermometry sweep with the device in line."""
+    from .noise_cal import VtsSetpoint, input_noise, vts_output_noise
     t_add = t_kipa + chain.t_hemt / chain.g
     sp = VtsSetpoint(np.asarray(t_vts_values, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
     xs = input_noise(vts_output_noise(sp, chain.g), chain)
@@ -101,6 +101,7 @@ def hemt_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_VTS, P_out) sweep with a 50-ohm through in place of the device."""
+    from .noise_cal import hemt_input_noise
     xs = np.asarray(t_vts_values, dtype=float)
     t_in = hemt_input_noise(xs, f_signal_hz, chain)
     ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (t_in + chain.t_hemt + chain.t_bkg / chain.g_hemt)
@@ -140,6 +141,7 @@ def clem_tuning_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(bias current, resonance frequency) sweep from the tuning law."""
+    from .ki_device import resonance_vs_bias
     truth = {"i_star_a": res.i_star, "clem_exponent": res.clem_exponent}
     return _with_relative_noise(currents_a, resonance_vs_bias(currents_a, res), noise_frac, rng), truth
 
@@ -151,6 +153,7 @@ def field_shift_sweep(
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(B, d_omega/omega) sweep from the quadratic field law."""
+    from .env_models import field_frequency_shift
     y = field_frequency_shift(b_values_t, model)
     sigma = None
     if noise_abs > 0:
@@ -184,6 +187,7 @@ class PumpMap:
         """Peak gain in dB on broadcast arrays of pump frequency (Hz) and
         power (dBm), NaN in the self-oscillation regime; the grid evaluator
         of io_dynamics.find_optimal_pump."""
+        from .io_dynamics import peak_gain_db
         f_pump_hz = np.asarray(f_pump_hz, dtype=float)
         if np.any(f_pump_hz <= 0.0):
             raise DomainError("pump frequency must be positive")
@@ -201,13 +205,3 @@ def pump_gain_map(
     PumpMap.peak_gain_db, NaN in the self-oscillation regime."""
     law = PumpMap(kappa_hz, gamma_hz, f_r_hz, xi_hz_per_sqrt_mw).peak_gain_db
     return lambda f_pump_hz, p_pump_dbm: float(law(f_pump_hz, p_pump_dbm))
-
-
-#: Source temperatures on a VTS ladder.
-VTS_LADDER_STEPS = 4
-
-
-def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> List[float]:
-    """Geometric ladder of VTS_LADDER_STEPS source temperatures, endpoints
-    included."""
-    return list(np.geomspace(lo_k, hi_k, VTS_LADDER_STEPS))

@@ -1,7 +1,8 @@
 """Repeated in-process calls of kipa_lab.cli.main.
 
 main() builds its argparse tree once per process and reuses it, so no flag
-of one call may reach the next.  Each bundle is encoded once: the files under
+of one call may reach the next, and each call shows its own warnings, as a
+fresh process would.  Each bundle is encoded once: the files under
 --out hold the very text printed on stdout.  The perfbench tracer wraps the
 CLI from outside; its spans must see every handler call and must not stack
 up over many calls.
@@ -79,6 +80,50 @@ def test_squeeze_gx_does_not_reach_the_next_call(capsys):
     second = _results(capsys, "squeeze", "--config", "budget.json", "--s", "0.99")
     assert second["s"] == 0.99
     assert second["g_x_db"] != pytest.approx(-2.95, abs=1e-3)
+
+
+TWO_CALLS = textwrap.dedent(
+    """
+    import contextlib, io, sys, warnings
+    from kipa_lab import cli
+
+    filters, outs = list(warnings.filters), []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(sys.argv[1:]) == 0
+        outs.append(out.getvalue())
+        print("-- end of call", file=sys.stderr)
+    assert warnings.filters == filters and outs[0] == outs[1]
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, block, key, value, category",
+    [
+        ("field-shift", "field.json", "field_model", "theta_b_rad", 0.2, "PhysicsWarning"),
+        ("design", "sif.json", "sif", "z_h_ohm", 450.0, "ConfigWarning"),
+    ],
+    ids=["field-shift-theta", "design-degenerate-mirror"],
+)
+def test_each_call_shows_its_warnings(tmp_path, command, config, block, key, value, category):
+    """Two main() calls in one fresh process, under its default warning
+    filters, each print the warning to stderr, leave the filters as they
+    were, and print the same stdout."""
+    doc = json.loads((CONFIGS / config).read_text())
+    doc[block][key] = value
+    cfg = tmp_path / config
+    cfg.write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_CALLS, command, "--config", str(cfg), "--synthetic"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = proc.stderr.split("-- end of call\n")
+    assert len(calls) == 3 and calls[2] == ""
+    assert [c.count(f"{category}: ") for c in calls[:2]] == [1, 1], proc.stderr
 
 
 @pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=[" ".join(a[:1] + a[3:]) for a in BUNDLE_COMMANDS])

@@ -1,11 +1,14 @@
 """What a fresh interpreter loads and starts for kipa_lab.
 
 Each check runs in a new ``sys.executable`` process, because numpy reads its
-thread settings once, at its first import.  ``import kipa_lab.cli`` in a
+thread settings once, at its first import, and because an in-process test
+shares the modules that earlier tests loaded.  ``import kipa_lab.cli`` in a
 process that has not imported numpy sets OPENBLAS_NUM_THREADS=1 unless the
 caller set it or OMP_NUM_THREADS; a process that imported numpy first keeps
 its environment as it was.  The thread count must never change output bytes,
-so cold CLI runs are checked against the golden digests.
+so a cold CLI run of every subcommand is checked against the golden digests.
+Each subcommand imports only the physics modules it runs: the same runs, made
+under ``-X importtime``, pin the kipa_lab modules each one loads.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_seed0.json"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# The kipa_lab modules that `import kipa_lab.cli` leaves for the handlers to load.
+LAWS = {"io_dynamics", "ki_device", "noise_cal", "env_models", "synthetic", "reproduce", "squeeze", "microwave_net"}
 
 
 def _env(**extra) -> dict:
@@ -30,10 +35,20 @@ def _env(**extra) -> dict:
     return {**env, **extra}
 
 
-def _python(*args, **extra) -> str:
+def _run(*args, **extra) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, *args], env=_env(**extra), cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def _python(*args, **extra) -> str:
+    return _run(*args, **extra).stdout
+
+
+def _laws_loaded(importtime_stderr: str) -> set:
+    """The LAWS named in the -X importtime report of a process."""
+    names = {line.rpartition("|")[2].strip() for line in importtime_stderr.splitlines() if line.startswith("import time:")}
+    return {name.partition(".")[2] for name in names if name.partition(".")[0] == "kipa_lab"} & LAWS
 
 
 def test_bare_import_loads_no_numpy():
@@ -57,23 +72,38 @@ def test_preset_thread_setting_is_kept(preset):
     assert got == {k: preset.get(k) for k in THREAD_VARS}
 
 
+def test_cli_import_loads_no_law_module():
+    assert _laws_loaded(_run("-X", "importtime", "-c", "import kipa_lab.cli").stderr) == set()
+
+
 def test_numpy_imported_first_leaves_environment_unchanged():
     code = "import os, numpy; before = dict(os.environ); import kipa_lab.cli; print(dict(os.environ) == before)"
     assert _python("-c", code).strip() == "True"
 
 
-@pytest.mark.parametrize(
-    "case, argv",
-    [
-        ("gain [json]", ["gain", "--config", "configs/gain.json"]),
-        ("tune [json]", ["tune", "--config", "configs/device.json"]),
-        ("noise-fit --synthetic [json]", ["noise-fit", "--config", "configs/chain.json", "--synthetic"]),
-    ],
-    ids=["gain", "tune", "noise-fit-synthetic"],
-)
-def test_cold_cli_stdout_matches_golden_digest(case, argv):
+# One run of each subcommand: (golden case, argv, the LAWS it loads).
+COLD_CASES = [
+    ("design", ["design", "--config", "configs/sif.json"], {"microwave_net"}),
+    ("tune", ["tune", "--config", "configs/device.json"], {"ki_device", "synthetic"}),
+    ("gain", ["gain", "--config", "configs/gain.json"], {"io_dynamics", "synthetic"}),
+    ("pump-search", ["pump-search", "--config", "configs/pump_search.json"], {"io_dynamics", "synthetic"}),
+    ("compression --synthetic", ["compression", "--config", "configs/compression.json", "--synthetic"], {"io_dynamics", "synthetic"}),
+    ("noise-fit --synthetic", ["noise-fit", "--config", "configs/chain.json", "--synthetic"], {"noise_cal", "synthetic"}),
+    ("hemt-fit --synthetic", ["hemt-fit", "--config", "configs/chain.json", "--synthetic"], {"noise_cal", "synthetic"}),
+    ("chain-propagate", ["chain-propagate", "--config", "configs/chain.json"], {"noise_cal"}),
+    ("squeeze --s", ["squeeze", "--config", "configs/budget.json"], {"squeeze", "io_dynamics"}),
+    ("field-shift --synthetic", ["field-shift", "--config", "configs/field.json", "--synthetic"], {"env_models", "synthetic"}),
+    ("temp-shift", ["temp-shift", "--config", "configs/temp.json"], {"env_models"}),
+    ("device-temp", ["device-temp", "--config", "configs/temp.json"], {"env_models"}),
+    ("reproduce all", ["reproduce", "all"], LAWS),
+]
+
+
+@pytest.mark.parametrize("case, argv, laws", COLD_CASES, ids=[c.replace(" --", "-").replace(" ", "-") for c, _, _ in COLD_CASES])
+def test_cold_cli_stdout_matches_golden_digest(case, argv, laws):
+    proc = _run("-X", "importtime", "-m", "kipa_lab.cli", *argv, "--seed", "0")
+    assert _laws_loaded(proc.stderr) == laws
     golden = json.loads(GOLDEN.read_text())
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests were taken with numpy {golden['numpy']}, this is numpy {np.__version__}")
-    out = _python("-m", "kipa_lab.cli", *argv, "--seed", "0")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["digests"][case]["stdout"]
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == golden["digests"][f"{case} [json]"]["stdout"]
