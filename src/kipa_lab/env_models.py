@@ -62,7 +62,7 @@ class FieldModel:
             warnings.warn(
                 f"misalignment angle {self.theta_b} rad is large for the small-angle model",
                 PhysicsWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -34,9 +34,9 @@ from .fitkit import SweepRecord, write_csv
 
 _POLE_GUARD = 1e-12
 
-# Newton steps of peak_gain_db.  On a dense grid of |Delta| up to 1e6 kappa_bar
-# and |xi| up to 1 - 1e-9 of the threshold, 10 reach the peak to 1e-12 dB; the
-# rest is margin.
+# Newton steps of peak_gain_db, which returns exactly what this many give.  On
+# a dense grid of |Delta| up to 1e6 kappa_bar and |xi| up to 1 - 1e-9 of the
+# threshold, 10 reach the peak to 1e-12 dB; the rest is margin.
 _NEWTON_STEPS = 16
 
 # Cap on the tenfold refinements of the pump-search frequency grid; the
@@ -162,7 +162,9 @@ def peak_gain_db(kappa, gamma, delta, xi):
     eigenvalues, near which the one or two gain peaks lie; the result is the
     largest gain at the starts and where the steps end.  Every point taken
     lies on the curve, so a start that does not converge can only be
-    outdone, never overshoot the peak.
+    outdone, never overshoot the peak.  The result is bit for bit that of
+    _NEWTON_STEPS steps from both starts at every point, but unstable points
+    are not stepped, nor -r where r = 0 (it takes the values +r does).
     """
     kappa = np.asarray(kappa, dtype=float)
     kb = kappa + np.asarray(gamma, dtype=float) / 2.0
@@ -171,28 +173,51 @@ def peak_gain_db(kappa, gamma, delta, xi):
     e = 1.0 + d * d
     a = e - x * x
     b = 4.0 - 2.0 * a
-    c4, c3, c2, c1, c0 = 3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d
+    cs = (3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d)
     r = np.sqrt(np.maximum(d * d - x * x, 0.0))
+    stable = drift_stable(kb, delta, xi)
     starts = np.stack([r, -r])
-    w = starts.copy()
-    # In-place Horner keeps the working set to a few arrays of the grid's size.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            q = w + c4
-            dq = 5.0 * w
-            dq += 4.0 * c4
-            for coef, n in ((c3, 3.0), (c2, 2.0), (c1, 1.0)):
-                q *= w
-                q += coef
-                dq *= w
-                dq += n * coef
-            q *= w
-            q += c0
-            q /= dq
-            w -= q
+        w = _newton(starts, cs, np.stack([stable, stable & (r > 0.0)]))
         peak = np.fmax(_gain_ratio(starts, d, a), _gain_ratio(w, d, a))
         peak_db = 10.0 * np.log10(k * k * peak)
-    return np.where(drift_stable(kb, delta, xi), peak_db, np.nan)
+    return np.where(stable, peak_db, np.nan)
+
+
+def _newton(w, cs, todo):
+    """w after _NEWTON_STEPS Newton steps on Q (coefficients cs from c4 down,
+    broadcast against w) where todo is set, w elsewhere; only those points
+    are stepped, on gathered copies.  A point whose step s+1 returns the bits
+    of step s-1 repeats those two values, so its last iterate follows from
+    the parity of the steps left.  Once 7/8 have settled, the rest is gathered."""
+    out, pos = w.copy(), np.flatnonzero(todo)
+    w = prev = out.flat[pos]
+    cs = [np.broadcast_to(c, todo.shape)[todo] for c in cs]
+    live = np.ones(w.shape, dtype=bool)
+    for t in range(_NEWTON_STEPS):
+        if 8 * np.count_nonzero(live) <= live.size:
+            out.flat[pos[~live]] = (w, prev)[(_NEWTON_STEPS - t) % 2][~live]
+            pos, w, prev, live, *cs = (v[live] for v in (pos, w, prev, live, *cs))
+            if not w.size:
+                return out
+        # In-place Horner keeps the working set to a few arrays of the stepped points.
+        c4, c3, c2, c1, c0 = cs
+        q = w + c4
+        dq = 5.0 * w
+        dq += 4.0 * c4
+        for coef, n in ((c3, 3.0), (c2, 2.0), (c1, 1.0)):
+            q *= w
+            q += coef
+            dq *= w
+            dq += n * coef
+        q *= w
+        q += c0
+        q /= dq
+        q = w - q
+        live &= q.view(np.int64) != prev.view(np.int64)
+        prev, w = w, q
+    out.flat[pos] = w
+    return out
 
 
 def _gain_ratio(w, d, a):

@@ -57,13 +57,13 @@ class SifDesign:
             warnings.warn(
                 f"z_l = {self.z_l} is not below z_h = {self.z_h}; mirror is degenerate",
                 ConfigWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.n_l != self.n_h + 1:
             warnings.warn(
                 f"mirror topology n_l = n_h + 1 expected, got n_l={self.n_l}, n_h={self.n_h}",
                 ConfigWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

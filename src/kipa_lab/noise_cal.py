@@ -94,7 +94,7 @@ class ReceiverChain:
                     f"explicit eta = {db_explicit:.2f} dB disagrees with "
                     f"eta_e*eta_il = {db_product:.2f} dB; using the explicit value",
                     ConfigWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         if self.elements:
             db_elems = sum(e.value_db for e in self.elements if e.kind == "attenuation")
@@ -104,7 +104,7 @@ class ReceiverChain:
                     f"attenuation elements sum to {db_elems:.2f} dB but eta_e is "
                     f"{db_eta_e:.2f} dB",
                     ConfigWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     @property

@@ -109,7 +109,8 @@ TWO_CALLS = textwrap.dedent(
 def test_each_call_shows_its_warnings(tmp_path, command, config, block, key, value, category):
     """Two main() calls in one fresh process, under its default warning
     filters, each print the warning to stderr, leave the filters as they
-    were, and print the same stdout."""
+    were, and print the same stdout.  The warning names a line of kipa_lab,
+    not the dataclass-generated __init__ ("<string>")."""
     doc = json.loads((CONFIGS / config).read_text())
     doc[block][key] = value
     cfg = tmp_path / config
@@ -124,6 +125,7 @@ def test_each_call_shows_its_warnings(tmp_path, command, config, block, key, val
     calls = proc.stderr.split("-- end of call\n")
     assert len(calls) == 3 and calls[2] == ""
     assert [c.count(f"{category}: ") for c in calls[:2]] == [1, 1], proc.stderr
+    assert not any(line.startswith("<string>") for line in proc.stderr.splitlines()), proc.stderr
 
 
 @pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=[" ".join(a[:1] + a[3:]) for a in BUNDLE_COMMANDS])

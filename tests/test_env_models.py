@@ -82,6 +82,13 @@ def test_large_misalignment_warns():
         reference_field_model(theta_b=0.2)
 
 
+def test_misalignment_warning_names_the_caller():
+    """The warning points at the line that builds the model, not at the
+    dataclass-generated __init__ ("<string>")."""
+    with pytest.warns(PhysicsWarning) as rec:
+        FieldModel(diffusion=0.5e-4, thickness=13e-9, t_c=5.6, center_width=2e-6, theta_b=0.2)
+    assert [w.filename for w in rec] == [__file__]
+
 def test_fit_field_shift_coefficient_machine_precision():
     model = reference_field_model(theta_b=math.radians(0.92))
     rng = np.random.default_rng(0)

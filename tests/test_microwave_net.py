@@ -146,6 +146,14 @@ def test_topology_warning():
         SifDesign(z_l=450.0, z_h=900.0, n_l=5, n_h=5, z_0=50.0, z_r=900.0, f_0=F0)
 
 
+@pytest.mark.parametrize("z_h, n_l", [(450.0, 6), (900.0, 5)], ids=["degenerate", "topology"])
+def test_design_warnings_name_the_caller(z_h, n_l):
+    """Each warning points at the line that builds the design, not at the
+    dataclass-generated __init__ ("<string>")."""
+    with pytest.warns(ConfigWarning) as rec:
+        SifDesign(z_l=450.0, z_h=z_h, n_l=n_l, n_h=5, z_0=50.0, z_r=900.0, f_0=F0)
+    assert [w.filename for w in rec] == [__file__]
+
 def test_stopband_sweep_is_finite_off_resonance():
     sif = reference_sif()
     for f in np.linspace(0.5 * F0, 1.5 * F0, 101):

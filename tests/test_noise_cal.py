@@ -99,6 +99,17 @@ def test_element_sum_mismatch_warns():
         reference_chain(elements=elems)  # -0.8 dB vs eta_e -1.25 dB
 
 
+@pytest.mark.parametrize("overrides", [
+    {"eta_explicit": 10 ** (-4.5 / 10)},
+    {"elements": [ChainElement("attenuation", -0.2, 0.1)]},
+], ids=["eta-explicit", "element-sum"])
+def test_chain_warnings_name_the_caller(overrides):
+    """Each warning points at the line that builds the chain, not at the
+    dataclass-generated __init__ ("<string>")."""
+    with pytest.warns(ConfigWarning) as rec:
+        reference_chain(**overrides)
+    assert [w.filename for w in rec] == [__file__]
+
 def test_fit_added_noise_noiseless_recovery():
     chain = reference_chain()
     rng = np.random.default_rng(0)
