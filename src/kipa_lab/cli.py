@@ -23,11 +23,8 @@ import warnings
 if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # the fits' products have <= 4 columns: a BLAS thread pool would idle
 
-import numpy as np  # noqa: E402
-
 from . import config as cfgmod
 from .errors import ConfigError, DomainError, FitError, KipaLabError
-from .fitkit import finite, nlls_fit
 from .quantities import BOLTZMANN
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
 
@@ -50,24 +47,27 @@ def _load_config(args):
 
 
 def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None, sweep=None) -> int:
-    """Print the bundle of this run, which echoes the inputs and carries any
-    planted truth, and write the same text with the curve and sweep CSVs under
-    --out.  A result that is not strict JSON is a domain error in either format."""
+    """Write the bundle of this run, which echoes the inputs and carries any
+    planted truth, with the curve and sweep CSVs under --out, then print it.
+    A result that is not strict JSON is a domain error in either format."""
     if truth:
         results["truth"] = truth
     inputs = {"config": cfg, "seed": args.seed, "synthetic": args.synthetic}
     bundle = make_bundle(args.command, inputs, results, residuals)
     text = bundle_json(bundle)
     csv_text = bundle_csv(bundle) if args.format == "csv" else None
-    sys.stdout.write(text if csv_text is None else csv_text)
     if args.out:
-        paths = write_bundle(bundle, args.out, text, csv_text)
-        for name, table in (("curve.csv", curve), ("sweep.csv", sweep)):
-            if table is not None:
-                paths.append(os.path.join(args.out, name))
-                table.to_csv(paths[-1])
+        try:
+            paths = write_bundle(bundle, args.out, text, csv_text)
+            for name, table in (("curve.csv", curve), ("sweep.csv", sweep)):
+                if table is not None:
+                    paths.append(os.path.join(args.out, name))
+                    table.to_csv(paths[-1])
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
         for p in paths:
             log.info("wrote %s", p)
+    sys.stdout.write(text if csv_text is None else csv_text)
     return EXIT_OK
 
 
@@ -76,7 +76,8 @@ def _sweep(args, c: dict, plant):
     --synthetic, else read from the config's sweep_file (relative to the
     config file) with no truth."""
     if args.synthetic:
-        return plant(c["synthetic"], np.random.default_rng(args.seed))
+        from numpy.random import default_rng
+        return plant(c["synthetic"], default_rng(args.seed))
     if c["sweep_file"] is None:
         raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
     return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
@@ -98,6 +99,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    import numpy as np
     from . import ki_device, synthetic
     cfg, c = _load_config(args)
     res = cfgmod.parse_device(c["device"]).resonator
@@ -124,7 +126,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_gain(args) -> int:
+    import numpy as np
     from . import io_dynamics, synthetic
+    from .fitkit import nlls_fit
     cfg, c = _load_config(args)
     cav = cfgmod.parse_cavity(c["cavity"])
     grid = c["grid"]
@@ -189,6 +193,7 @@ def cmd_pump_search(args) -> int:
 
 
 def cmd_compression(args) -> int:
+    import numpy as np
     from . import io_dynamics, synthetic
     cfg, c = _load_config(args)
     ssg = c["small_signal_gain_db"]
@@ -265,6 +270,7 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_field_shift(args) -> int:
+    import numpy as np
     from . import env_models, synthetic
     cfg, c = _load_config(args)
     model = cfgmod.parse_field_model(c["field_model"])
@@ -287,6 +293,7 @@ def cmd_field_shift(args) -> int:
 
 
 def cmd_temp_shift(args) -> int:
+    import numpy as np
     from . import env_models
     cfg, c = _load_config(args)
     model = cfgmod.parse_temp_model(c["temp_model"])
@@ -323,13 +330,16 @@ def cmd_reproduce(args) -> int:
     from .reproduce import run_fixture
     results = run_fixture(args.fixture)
     all_pass = all(r.passed for r in results)
-    for r in results:
-        print(r.line())
     fields = ("fixture", "passed", "measured", "expected", "tolerance", "description")
     checks = [{k: getattr(r, k) for k in fields} for r in results]
     bundle = make_bundle("reproduce", {"fixture": args.fixture, "seed": args.seed}, {"all_passed": all_pass, "checks": checks})
     if args.out:
-        write_bundle(bundle, args.out, bundle_json(bundle), bundle_csv(bundle) if args.format == "csv" else None)
+        try:
+            write_bundle(bundle, args.out, bundle_json(bundle), bundle_csv(bundle) if args.format == "csv" else None)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
+    for r in results:
+        print(r.line())
     return EXIT_OK if all_pass else 1
 
 
@@ -337,7 +347,7 @@ def cmd_reproduce(args) -> int:
 # main() runs cmd_<name> (dashes as underscores), looked up at each call.
 COMMANDS = {
     "design": ("stepped-impedance-filter coupling design numbers", {}),
-    "tune": ("resonance frequency versus dc bias current", {"--current": {"type": finite, "help": "bias current in A"}}),
+    "tune": ("resonance frequency versus dc bias current", {"--current": {"type": cfgmod.finite, "help": "bias current in A"}}),
     "gain": ("driven-cavity gain curve and bandwidth product", {}),
     "pump-search": ("search the cheapest pump point for a target gain", {}),
     "compression": ("1-dB compression point extraction", {}),
@@ -345,7 +355,7 @@ COMMANDS = {
     "hemt-fit": ("cryogenic amplifier noise calibration", {}),
     "chain-propagate": ("photon-number propagation through the chain", {}),
     "squeeze": ("squeezing factor, floor and quadrature gain",
-                {"--gx-db": {"type": finite, "help": "quadrature gain in dB"}, "--s": {"type": finite, "help": "measured squeezing factor"}}),
+                {"--gx-db": {"type": cfgmod.finite, "help": "quadrature gain in dB"}, "--s": {"type": cfgmod.finite, "help": "measured squeezing factor"}}),
     "field-shift": ("parallel-field frequency-shift fit", {}),
     "temp-shift": ("temperature-dependent frequency shift curve", {}),
     "device-temp": ("device temperature from a measured shift", {}),
@@ -355,7 +365,7 @@ COMMON_ARGS = {
     "--config": {"help": "JSON configuration file"},
     "--out": {"help": "directory for result.json and per-point CSVs"},
     "--format": {"choices": ["json", "csv"], "default": "json"},
-    "--seed": {"type": int, "default": 0, "help": "PRNG seed for synthetic data"},
+    "--seed": {"type": cfgmod.natural, "default": 0, "help": "PRNG seed for synthetic data, an integer >= 0"},
     "--synthetic": {"action": "store_true", "help": "plant-and-recover on generated data"},
 }
 

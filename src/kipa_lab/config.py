@@ -1,7 +1,8 @@
 """Configuration ingestion: the config format as one schema table, the
 reader that checks a block against it, the parsers that build library
-objects from checked blocks, and the canonical config hash.  Each parser
-imports the class it builds when it runs, so a config loads no law it skips.
+objects from checked blocks, the CLI's number flags and the canonical
+config hash.  Each parser imports the class it builds when it runs, so a
+config loads no law it skips.
 
 All dB fields end in ``_db`` (power convention), SI fields carry their unit
 as a suffix.  Each block is read only under its own name; measured sweeps
@@ -15,7 +16,7 @@ import json
 import math
 
 from .errors import ConfigError, DomainError
-from .quantities import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA, vts_setpoint_ladder
+from .quantities import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA
 
 #: Upper bound of every count and list length: points per sweep.
 MAX_POINTS = 10**6
@@ -28,7 +29,7 @@ def load_json(path) -> dict:
     def reject(literal):
         raise ConfigError(f"config {path} is not strict JSON: {literal} is not a number")
 
-    def finite(literal: str) -> float:
+    def double(literal: str) -> float:
         value = float(literal)
         if not math.isfinite(value):
             shown = literal if len(literal) <= 24 else f"{literal[:12]}... ({len(literal)} characters)"
@@ -36,12 +37,12 @@ def load_json(path) -> dict:
         return value
 
     def integer(literal: str) -> int:
-        finite(literal)
+        double(literal)
         return int(literal)
 
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_constant=reject, parse_float=finite, parse_int=integer)
+            cfg = json.load(fh, parse_constant=reject, parse_float=double, parse_int=integer)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -49,6 +50,20 @@ def load_json(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object, not {type(cfg).__name__}")
     return cfg
+
+
+def finite(s: str) -> float:
+    """float(s), with ValueError for nan and +-inf as for any non-number."""
+    if not math.isfinite(v := float(s)):
+        raise ValueError(f"non-finite value {s!r}")
+    return v
+
+
+def natural(s: str) -> int:
+    """int(s), with ValueError below 0: a seed of numpy's default_rng."""
+    if (v := int(s)) < 0:
+        raise ValueError(f"negative value {s!r}")
+    return v
 
 
 def config_hash(cfg: dict) -> str:
@@ -268,7 +283,7 @@ SCHEMA = {
         "t_kipa_k": (NUMBER, REFERENCE_T_KIPA, "t_kipa"),
         "f_signal_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_signal_hz"),
         "f_idler_hz": (NUMBER, REFERENCE_F_SIGNAL, "f_idler_hz"),
-        "t_vts_k": (NUMBERS, vts_setpoint_ladder(), "t_vts_values"),
+        "t_vts_k": (NUMBERS, None, "t_vts_values"),  # None: synthetic.noise_sweep's ladder
         "noise_frac": (NUMBER, 0.0, "noise_frac"),
     },
     "hemt-fit": {
@@ -279,7 +294,7 @@ SCHEMA = {
         "synthetic": (_block("hemt-fit synthetic"), {}, "synthetic"),
     },
     "hemt-fit synthetic": {
-        "t_vts_k": (NUMBERS, vts_setpoint_ladder(0.1, 3.0), "t_vts_values"),
+        "t_vts_k": (NUMBERS, None, "t_vts_values"),  # None: synthetic.hemt_sweep's ladder
         "noise_frac": (NUMBER, 0.0, "noise_frac"),
     },
     "chain-propagate": {

@@ -10,13 +10,14 @@ The tolerances are module constants so every run uses the same ones.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import finite
 from .errors import ConfigError, FitError, RankError
+from .report import write_csv
 
 
 @dataclass
@@ -83,39 +84,6 @@ class SweepRecord:
             raise ConfigError(f"sweep {path} line {blank[0]}: sigma_y is blank here but given on other rows")
         sigma = np.array(ss) if ss else None
         return cls(np.array(xs), np.array(ys), sigma)
-
-
-def float_column(col) -> bool:
-    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
-
-
-def _csv_cells(col) -> list:
-    """A float array's cells as float.__repr__; any other cell as str() (None
-    as empty), quoted where it holds a comma, a quote or a line break."""
-    if float_column(col):
-        return list(map(float.__repr__, col.tolist()))
-    cells = ["" if v is None else str(v) for v in col]
-    text = "".join(cells)
-    if any(c in text for c in ',"\r\n'):
-        cells = ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in cells]
-    return cells
-
-
-def write_csv(fh, header: Sequence[str], columns: Sequence) -> None:
-    """Write a header and equal-length columns to an open text stream as csv.writer
-    writes the rows.  Every CSV file and CSV report of the package goes through here."""
-    head, cells = _csv_cells(list(header)), [_csv_cells(c) for c in columns]
-    if len(cells) == 1:  # csv.writer quotes a row that is one empty field
-        head, cells[0] = [[t or '""' for t in col] for col in (head, cells[0])]
-    fh.write("\r\n".join([",".join(head), *map(",".join, zip(*cells)), ""]))
-
-
-def finite(s: str) -> float:
-    """float(s), with ValueError for nan and +-inf as for any non-number."""
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value {s!r}")
-    return v
 
 
 def _is_number(s: str) -> bool:

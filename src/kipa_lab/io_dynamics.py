@@ -30,7 +30,9 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ExtractionError, SingularityError
-from .fitkit import SweepRecord, write_csv
+from .fitkit import SweepRecord
+from .quantities import VACUUM_VARIANCE, n_kappa2_term  # noqa: F401 - n_kappa2_term is re-exported
+from .report import write_csv
 
 _POLE_GUARD = 1e-12
 
@@ -338,19 +340,6 @@ def quadrature_gain_x(cav: PumpedCavity, f_hz: Optional[float] = None) -> float:
     return cav.kappa * num / den
 
 
-#: Vacuum quadrature variance <X^2> for the a = X + iY convention, the input
-#: variance of the second port and of the internal-loss bath.
-VACUUM_VARIANCE = 0.25
-
-
-def n_kappa2_term(g_x: float) -> float:
-    """Second-port noise term [(sqrt(Gx)-1)/(sqrt(Gx)+1)] * <X^2_2,in>."""
-    if g_x <= 0.0:
-        raise DomainError("quadrature gain must be positive")
-    s = math.sqrt(g_x)
-    return (s - 1.0) / (s + 1.0) * VACUUM_VARIANCE
-
-
 def n_gamma_term(kappa: float, gamma: float) -> float:
     """Internal-loss noise term (gamma/kappa) * <X^2_b,in>."""
     if kappa <= 0.0 or gamma < 0.0:
@@ -366,7 +355,7 @@ def output_quadrature_variance(
     <X^2_out> = G_X*x_in_var + (G_X - 1)*n_kappa2 + G_X*n_gamma,
 
     with G_X taken from the cavity at the deamplification alignment.  The
-    n_kappa2 and n_gamma inputs come from the helper accessors above.
+    n_kappa2 and n_gamma inputs come from n_kappa2_term and n_gamma_term.
     """
     g_x = quadrature_gain_x(cav)
     if g_x <= 0.0:

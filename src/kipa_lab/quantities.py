@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 # CODATA 2018 / SI 2019 exact values.
@@ -30,10 +28,11 @@ E_CHARGE = 1.602176634e-19  # C
 MU_0 = 1.25663706212e-6  # H / m
 EULER_GAMMA = 0.5772156649015329
 
-# The reference operating point and VTS ladder, defaults of the config schema.
+# The reference operating point, a default of the config schema.
 REFERENCE_F_SIGNAL = 5.6735e9  # Hz
 REFERENCE_T_KIPA = 0.286  # K
-VTS_LADDER_STEPS = 4  # source temperatures on a VTS ladder
+
+VACUUM_VARIANCE = 0.25  # <X^2> of vacuum for a = X + iY: the input of the second port and the loss bath
 
 
 def db_to_linear(db: float) -> float:
@@ -87,6 +86,9 @@ def quantum_limit_temperature(f) -> float:
     return PLANCK * f_hz / (2.0 * BOLTZMANN)
 
 
-def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
-    """Geometric ladder of VTS_LADDER_STEPS source temperatures, endpoints included."""
-    return list(np.geomspace(lo_k, hi_k, VTS_LADDER_STEPS))
+def n_kappa2_term(g_x: float) -> float:
+    """Second-port noise term [(sqrt(Gx)-1)/(sqrt(Gx)+1)] * <X^2_2,in>."""
+    if g_x <= 0.0:
+        raise DomainError("quadrature gain must be positive")
+    s = math.sqrt(g_x)
+    return (s - 1.0) / (s + 1.0) * VACUUM_VARIANCE

@@ -1,4 +1,4 @@
-"""Machine-readable report bundles emitted by every CLI command.
+"""Report bundles emitted by every CLI command, and the package's one CSV writer.
 
 A bundle is a plain dict: echoed inputs, a results block, optional
 per-point residuals, and a provenance block (tool version + config hash).
@@ -13,12 +13,37 @@ import json
 import math
 import os
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from .config import config_hash
 from .errors import DomainError
-from .fitkit import float_column, write_csv
+
+
+def float_column(col) -> bool:
+    """Whether col is a float array, told by its dtype so numpy need not be loaded."""
+    return getattr(getattr(col, "dtype", None), "kind", None) == "f"
+
+
+def _csv_cells(col) -> list:
+    """A float array's cells as float.__repr__; any other cell as str() (None
+    as empty), quoted where it holds a comma, a quote or a line break."""
+    if float_column(col):
+        return list(map(float.__repr__, col.tolist()))
+    cells = ["" if v is None else str(v) for v in col]
+    text = "".join(cells)
+    if any(c in text for c in ',"\r\n'):
+        cells = ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in cells]
+    return cells
+
+
+def write_csv(fh, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header and equal-length columns to an open text stream as csv.writer
+    writes the rows.  Every CSV file and CSV report of the package goes through here."""
+    head, cells = _csv_cells(list(header)), [_csv_cells(c) for c in columns]
+    if len(cells) == 1:  # csv.writer quotes a row that is one empty field
+        head, cells[0] = [[t or '""' for t in col] for col in (head, cells[0])]
+    fh.write("\r\n".join([",".join(head), *map(",".join, zip(*cells)), ""]))
 
 
 class Table(dict):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .io_dynamics import VACUUM_VARIANCE, n_kappa2_term
+from .quantities import VACUUM_VARIANCE, n_kappa2_term
 
 #: Lowest quadrature gain reachable in transmission (the -3 dB limit).
 GX_FLOOR = 0.5
@@ -29,7 +29,7 @@ class SqueezeBudget:
     and n_gamma default to zero (millikelvin loss channels, overcoupled
     cavity).  g_h, when given, keeps the exact (g_h - 1)/g_h prefactor on
     n_h instead of the large-gain simplification.  The second-port vacuum
-    term is not a budget entry: it follows from G_X (io_dynamics.n_kappa2_term).
+    term is not a budget entry: it follows from G_X (quantities.n_kappa2_term).
     """
 
     eta: float

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
 from .fitkit import SweepRecord
-from .quantities import BOLTZMANN, vts_setpoint_ladder  # noqa: F401 - the ladder is re-exported
+from .quantities import BOLTZMANN
+
+
+def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
+    """Geometric ladder of four VTS source temperatures, endpoints included."""
+    return list(np.geomspace(lo_k, hi_k, 4))
 
 
 def _with_relative_noise(x, y, noise_frac: float, rng: np.random.Generator) -> SweepRecord:
@@ -80,14 +85,15 @@ def noise_sweep(
     t_kipa: float,
     f_signal_hz: float,
     f_idler_hz: float,
-    t_vts_values: Sequence[float],
+    t_vts_values: Optional[Sequence[float]],
     noise_frac: float,
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
-    """(T_in, P_out) thermometry sweep with the device in line."""
+    """(T_in, P_out) thermometry sweep with the device in line; None sources are vts_setpoint_ladder()."""
     from .noise_cal import VtsSetpoint, input_noise, vts_output_noise
     t_add = t_kipa + chain.t_hemt / chain.g
-    sp = VtsSetpoint(np.asarray(t_vts_values, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
+    t_vts = vts_setpoint_ladder() if t_vts_values is None else t_vts_values
+    sp = VtsSetpoint(np.asarray(t_vts, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
     xs = input_noise(vts_output_noise(sp, chain.g), chain)
     ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (xs + t_add + chain.t_bkg / (chain.g_hemt * chain.g))
     return _with_relative_noise(xs, ys, noise_frac, rng), {"t_add_k": t_add, "t_kipa_k": t_kipa}
@@ -96,13 +102,13 @@ def noise_sweep(
 def hemt_sweep(
     chain: ReceiverChain,
     f_signal_hz: float,
-    t_vts_values: Sequence[float],
+    t_vts_values: Optional[Sequence[float]],
     noise_frac: float,
     rng: np.random.Generator,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
-    """(T_VTS, P_out) sweep with a 50-ohm through in place of the device."""
+    """(T_VTS, P_out) sweep with a 50-ohm through in place of the device; None sources are vts_setpoint_ladder(0.1, 3.0)."""
     from .noise_cal import hemt_input_noise
-    xs = np.asarray(t_vts_values, dtype=float)
+    xs = np.asarray(vts_setpoint_ladder(0.1, 3.0) if t_vts_values is None else t_vts_values, dtype=float)
     t_in = hemt_input_noise(xs, f_signal_hz, chain)
     ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (t_in + chain.t_hemt + chain.t_bkg / chain.g_hemt)
     return _with_relative_noise(xs, ys, noise_frac, rng), {"t_hemt_k": chain.t_hemt}

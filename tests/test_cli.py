@@ -533,3 +533,32 @@ def test_extreme_config_value_names_the_key(tmp_path, capsys, config, value, pat
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("domain error:") and path[-1] in lines[0], err
+
+
+SYNTHETIC = [("tune", "device.json"), ("gain", "gain.json"), ("compression", "compression.json"),
+             ("noise-fit", "chain.json"), ("hemt-fit", "chain.json"), ("field-shift", "field.json")]
+
+
+@pytest.mark.parametrize("command, config", SYNTHETIC, ids=[c for c, _ in SYNTHETIC])
+def test_negative_seed_exits_2(capsys, command, config):
+    # A seed is a usage error below 0, before any handler runs (numpy's default_rng rejects it).
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(CONFIGS / config), "--synthetic", "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "argument --seed: invalid natural value: '-1'" in errors[0], err
+
+
+@pytest.mark.parametrize("argv", [["design", "--config", str(CONFIGS / "sif.json")], ["reproduce", "qc290"]], ids=["design", "reproduce"])
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = cli.main([*argv, "--out", str(taken)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"configuration error: cannot write --out {taken}: "), err
+    assert taken.read_text() == "kept\n"

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from kipa_lab import report
 from kipa_lab.errors import DomainError
-from kipa_lab.fitkit import write_csv
+from kipa_lab.report import write_csv
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16, 1.0, 3.0, 2.0**53]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
