@@ -47,13 +47,20 @@ def _load_config(args):
 
 
 def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None, sweep=None) -> int:
-    """Write the bundle of this run, which echoes the inputs and carries any
-    planted truth, with the curve and sweep CSVs under --out, then print it.
-    A result that is not strict JSON is a domain error in either format."""
+    """Print the bundle of this run, which echoes the inputs and carries any
+    planted truth, after writing it under --out."""
     if truth:
         results["truth"] = truth
     inputs = {"config": cfg, "seed": args.seed, "synthetic": args.synthetic}
-    bundle = make_bundle(args.command, inputs, results, residuals)
+    sys.stdout.write(_write(args, make_bundle(args.command, inputs, results, residuals), curve, sweep))
+    return EXIT_OK
+
+
+def _write(args, bundle: dict, curve=None, sweep=None) -> str:
+    """The bundle encoded once in --format, after writing it, with the curve
+    and sweep CSVs, under --out.  A result that is not strict JSON is a
+    domain error in either format; an --out that cannot be written is a
+    configuration error."""
     text = bundle_json(bundle)
     csv_text = bundle_csv(bundle) if args.format == "csv" else None
     if args.out:
@@ -67,8 +74,7 @@ def _emit(args, cfg: dict, results: dict, residuals=None, truth=None, curve=None
             raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
         for p in paths:
             log.info("wrote %s", p)
-    sys.stdout.write(text if csv_text is None else csv_text)
-    return EXIT_OK
+    return text if csv_text is None else csv_text
 
 
 def _sweep(args, c: dict, plant):
@@ -179,9 +185,9 @@ def cmd_gain(args) -> int:
 
 
 def cmd_pump_search(args) -> int:
-    from . import io_dynamics, synthetic
+    from . import io_dynamics
     cfg, c = _load_config(args)
-    law = synthetic.PumpMap(**c["map"])
+    law = cfgmod.parse_pump_map(c["map"])
     search = c["search"]
     if search["f_bounds"] is None:
         search["f_bounds"] = [2.0 * law.f_r_hz - 2e8, 2.0 * law.f_r_hz + 2e8]
@@ -253,8 +259,11 @@ def cmd_squeeze(args) -> int:
     cfg, c = _load_config(args)
     budget = cfgmod.parse_budget(c["budget"])
     results = {"s_min": squeeze.max_measurable_squeezing(budget)}
-    g_x_db = args.gx_db if args.gx_db is not None else c["g_x_db"]
-    s_measured = args.s if args.s is not None else c["s_measured"]
+    g_x_db, s_measured = c["g_x_db"], c["s_measured"]  # both in the config: g_x_db wins
+    if args.gx_db is not None or args.s is not None:  # a flag replaces both config keys
+        if args.gx_db is not None and args.s is not None:
+            raise ConfigError("squeeze takes --gx-db or --s, not both")
+        g_x_db, s_measured = args.gx_db, args.s
     if g_x_db is not None:
         results["g_x_db"] = g_x_db
         try:
@@ -334,10 +343,7 @@ def cmd_reproduce(args) -> int:
     checks = [{k: getattr(r, k) for k in fields} for r in results]
     bundle = make_bundle("reproduce", {"fixture": args.fixture, "seed": args.seed}, {"all_passed": all_pass, "checks": checks})
     if args.out:
-        try:
-            write_bundle(bundle, args.out, bundle_json(bundle), bundle_csv(bundle) if args.format == "csv" else None)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
+        _write(args, bundle)
     for r in results:
         print(r.line())
     return EXIT_OK if all_pass else 1

@@ -242,7 +242,7 @@ SCHEMA = {
     },
     "gain synthetic": {"noise_db": (NUMBER, 0.1, "noise_db")},
     "pump-search": {
-        "map": (_block("pump map"), REQUIRED, "map"),
+        "map": (OBJECT, REQUIRED, "map"),
         "search": (_block("pump search"), {}, "search"),
     },
     "pump map": {
@@ -404,6 +404,11 @@ def parse_cavity(d: dict) -> PumpedCavity:
     if xi_hz is None:
         xi_hz = xi_frac * (kw["kappa_hz"] + kw["gamma_hz"] / 2.0)
     return _build(PumpedCavity.from_ordinary, "cavity", dict(kw, xi=xi_hz * complex(math.cos(phase), math.sin(phase))))
+
+
+def parse_pump_map(d: dict) -> PumpMap:
+    from .synthetic import PumpMap
+    return _build(PumpMap, "map", read(d, "pump map", "map"))
 
 
 def parse_budget(d: dict) -> SqueezeBudget:

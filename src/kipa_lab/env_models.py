@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ConfigWarning, DomainError, InversionError, PhysicsWarning
 from .fitkit import SweepRecord
-from .quantities import BOLTZMANN, E_CHARGE, HBAR, PLANCK
+from .quantities import BOLTZMANN, E_CHARGE, HBAR, PLANCK, bisect
 
 #: BCS weak-coupling gap ratio, gap = 1.764 * k_B * T_C.
 BCS_GAP_RATIO = 1.764
@@ -371,13 +371,4 @@ def device_temp_from_shift(
             f"[{min(f_lo, f_hi) + delta_omega_rel:.3e}, {max(f_lo, f_hi) + delta_omega_rel:.3e}] "
             f"for T in [{t_min}, {t_max}] K"
         )
-    lo, hi = t_min, t_max
-    mid = 0.5 * (lo + hi)
-    while hi - lo > 1e-5 and lo < mid < hi:  # mid == lo or hi where doubles are coarser than 1e-5 K
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return bisect(f, t_min, t_max, f_lo, 1e-5)

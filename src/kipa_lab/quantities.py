@@ -92,3 +92,18 @@ def n_kappa2_term(g_x: float) -> float:
         raise DomainError("quadrature gain must be positive")
     s = math.sqrt(g_x)
     return (s - 1.0) / (s + 1.0) * VACUUM_VARIANCE
+
+
+def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Midpoint of the last bracket of a sign change of ``f`` in [lo, hi],
+    where f(lo) = f_lo and f(hi) differ in sign, once the bracket is at most
+    ``tol`` wide or no double lies strictly inside it."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:  # mid == lo or hi where doubles are coarser than tol
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -8,8 +8,8 @@ from the model equations, so these run anywhere in milliseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -35,6 +35,12 @@ REFERENCE_RESONATOR = ki_device.ResonatorParams(
 )
 
 REFERENCE_T_HEMT = 1.95  # K
+
+#: Film and geometry of the parallel-field fixtures, aligned with the film plane.
+_FIELD_MODEL = env_models.FieldModel(diffusion=0.5e-4, thickness=13e-9, t_c=5.6, center_width=2e-6)
+
+#: Misalignment angle the theta fixture plants.
+_THETA = math.radians(0.92)
 
 
 def reference_chain() -> noise_cal.ReceiverChain:
@@ -72,228 +78,100 @@ class FixtureResult:
         )
 
 
-def _result(fixture, description, measured, expected, tolerance) -> FixtureResult:
-    return FixtureResult(
-        fixture=fixture,
-        description=description,
-        measured=float(measured),
-        expected=float(expected),
-        tolerance=float(tolerance),
-        passed=bool(abs(measured - expected) <= tolerance),
-    )
+def _cavity(kappa_hz: float, xi_frac: float) -> io_dynamics.PumpedCavity:
+    """Lossless, undetuned cavity pumped at twice the signal frequency, with
+    |xi| = xi_frac * kappa on the deamplification phase."""
+    xi = -1j * xi_frac * kappa_hz
+    return io_dynamics.PumpedCavity.from_ordinary(kappa_hz, 0.0, 0.0, xi, 2.0 * REFERENCE_F_SIGNAL)
 
 
-def fx_qc290() -> FixtureResult:
-    qc = microwave_net.coupling_q(REFERENCE_SIF)
-    return _result("qc290", "coupling quality factor of the published mirror design", qc, 290.0, 1.0)
-
-
-def fx_kappa() -> FixtureResult:
-    k = microwave_net.coupling_rate(REFERENCE_SIF)
-    return _result("kappa", "external coupling rate of the published design", k, 19.8e6, 0.2e6)
-
-
-def fx_kerr() -> FixtureResult:
-    k = ki_device.self_kerr(REFERENCE_RESONATOR, REFERENCE_F_SIGNAL)
-    return _result("kerr", "self-Kerr strength at the operating point", k, -0.133, 0.03 * 0.133)
-
-
-def fx_gbp() -> FixtureResult:
-    kappa_hz = 21.3e6
-    g_target = 10.0 ** (25.0 / 10.0)
-    xi_frac = math.sqrt(1.0 - 1.0 / math.sqrt(g_target))
-    cav = io_dynamics.PumpedCavity.from_ordinary(
-        kappa_hz, 0.0, 0.0, -1j * xi_frac * kappa_hz, 2.0 * REFERENCE_F_SIGNAL
-    )
+def _gbp() -> float:
+    xi_frac = math.sqrt(1.0 - 1.0 / math.sqrt(10.0 ** (25.0 / 10.0)))  # a 25 dB peak
     f = np.linspace(REFERENCE_F_SIGNAL - 5e6, REFERENCE_F_SIGNAL + 5e6, 4001)
-    gbp = io_dynamics.gbp_extract(io_dynamics.GainCurve.from_cavity(cav, f))
-    return _result(
-        "gbp",
-        "gain-bandwidth product of a 25 dB curve with the fitted coupling",
-        gbp,
-        21.3e6,
-        0.6e6,
-    )
+    return io_dynamics.gbp_extract(io_dynamics.GainCurve.from_cavity(_cavity(21.3e6, xi_frac), f))
 
 
-def fx_deamp_transmission() -> FixtureResult:
-    kappa = 2.0 * math.pi * 19.8e6
-    cav = io_dynamics.PumpedCavity(kappa, 0.0, 0.0, -1j * 0.999 * kappa, 2.0 * REFERENCE_F_SIGNAL)
-    return _result(
-        "deamp-transmission",
-        "transmission deamplification limit at |xi|/kappa = 0.999",
-        io_dynamics.transmission_deamp(cav),
-        0.5,
-        1e-3,
-    )
-
-
-def fx_deamp_reflection() -> FixtureResult:
-    kappa = 2.0 * math.pi * 19.8e6
-    cav = io_dynamics.PumpedCavity(kappa, 0.0, 0.0, -1j * 0.5 * kappa, 2.0 * REFERENCE_F_SIGNAL)
-    return _result(
-        "deamp-reflection",
-        "perfect reflection deamplification at |xi| = kappa/2",
-        io_dynamics.reflection_deamp(cav),
-        0.0,
-        1e-15,
-    )
-
-
-def fx_smin() -> FixtureResult:
-    s_min = squeeze.max_measurable_squeezing(reference_budget())
-    return _result("smin", "maximum measurable squeezing for the published budget", s_min, 0.9897, 1e-3)
-
-
-def fx_gx() -> FixtureResult:
+def _gx() -> float:
     budget = reference_budget()
-    g_true = 10.0 ** (-2.95 / 10.0)
-    s = squeeze.squeezing_factor(g_true, budget)
-    g_db = 10.0 * math.log10(squeeze.extract_gx(s, budget))
-    return _result(
-        "gx",
-        "deamplification gain extracted from the deepest measured squeezing",
-        g_db,
-        -2.95,
-        0.05,
-    )
+    s = squeeze.squeezing_factor(10.0 ** (-2.95 / 10.0), budget)
+    return 10.0 * math.log10(squeeze.extract_gx(s, budget))
 
 
-def fx_noise_fit() -> FixtureResult:
+def _noise_fit() -> float:
     chain = reference_chain()
-    rng = np.random.default_rng(0)
-    sweep, _ = synthetic.noise_sweep(
-        chain, REFERENCE_T_KIPA, REFERENCE_F_SIGNAL, REFERENCE_F_SIGNAL, synthetic.vts_setpoint_ladder(), 0.0, rng
-    )
-    res = noise_cal.fit_added_noise(sweep, chain)
-    t_kipa = noise_cal.kipa_noise_from_added(res.t_add, chain.g, chain.t_hemt)
-    return _result(
-        "noise-fit",
-        "noiseless thermometry round trip for the device noise temperature",
-        t_kipa,
-        REFERENCE_T_KIPA,
-        1e-9,
-    )
+    sweep, _ = synthetic.noise_sweep(chain, REFERENCE_T_KIPA, REFERENCE_F_SIGNAL, REFERENCE_F_SIGNAL,
+                                     synthetic.vts_setpoint_ladder(), 0.0, np.random.default_rng(0))
+    return noise_cal.kipa_noise_from_added(noise_cal.fit_added_noise(sweep, chain).t_add, chain.g, chain.t_hemt)
 
 
-def fx_hemt_fit() -> FixtureResult:
+def _hemt_fit() -> float:
     chain = reference_chain()
-    rng = np.random.default_rng(0)
-    sweep, _ = synthetic.hemt_sweep(chain, REFERENCE_F_SIGNAL, synthetic.vts_setpoint_ladder(0.1, 3.0), 0.0, rng)
-    res = noise_cal.fit_hemt_noise(sweep, chain, REFERENCE_F_SIGNAL)
-    return _result(
-        "hemt-fit",
-        "noiseless 50-ohm-through calibration of the cryogenic amplifier",
-        res.t_hemt,
-        REFERENCE_T_HEMT,
-        1e-9,
-    )
+    sweep, _ = synthetic.hemt_sweep(chain, REFERENCE_F_SIGNAL, synthetic.vts_setpoint_ladder(0.1, 3.0), 0.0,
+                                    np.random.default_rng(0))
+    return noise_cal.fit_hemt_noise(sweep, chain, REFERENCE_F_SIGNAL).t_hemt
 
 
-def fx_compression() -> FixtureResult:
+def _compression() -> float:
     # 21 dB plateau, then a linear tail crossing 20 dB exactly at -86 dBm.
     p = np.linspace(-110.0, -75.0, 141)
-    gain = 21.0 - np.clip(0.1 * (p + 96.0), 0.0, None)
-    sweep = SweepRecord(p, gain)
-    point = io_dynamics.compression_point(sweep, 21.0)
-    return _result(
-        "compression",
-        "output saturation power from the 1-dB compression bookkeeping",
-        point.p_out_sat_dbm,
-        -65.0,
-        1.0,
-    )
+    sweep = SweepRecord(p, 21.0 - np.clip(0.1 * (p + 96.0), 0.0, None))
+    return io_dynamics.compression_point(sweep, 21.0).p_out_sat_dbm
 
 
-def fx_field_curvature() -> FixtureResult:
-    model = env_models.FieldModel(
-        diffusion=0.5e-4, thickness=13e-9, t_c=5.6, center_width=2e-6, theta_b=0.0
-    )
-    c = env_models.field_curvature(model)
-    return _result(
-        "field-curvature",
-        "isotropic quadratic coefficient of the parallel-field shift",
-        c,
-        1.7412e-3,
-        0.01 * 1.7412e-3,
-    )
+def _theta() -> float:
+    model = replace(_FIELD_MODEL, theta_b=_THETA)
+    sweep, _ = synthetic.field_shift_sweep(model, np.linspace(0.0, 6.0, 13), 0.0, np.random.default_rng(0))
+    return env_models.fit_field_shift(sweep, model).theta_b
 
 
-def fx_theta_recovery() -> FixtureResult:
-    theta_true = math.radians(0.92)
-    model = env_models.FieldModel(
-        diffusion=0.5e-4, thickness=13e-9, t_c=5.6, center_width=2e-6, theta_b=theta_true
-    )
-    rng = np.random.default_rng(0)
-    sweep, _ = synthetic.field_shift_sweep(model, np.linspace(0.0, 6.0, 13), 0.0, rng)
-    fit = env_models.fit_field_shift(sweep, model)
-    return _result(
-        "theta",
-        "noiseless recovery of the planted misalignment angle",
-        fit.theta_b,
-        theta_true,
-        0.01 * theta_true,
-    )
-
-
-def fx_digamma() -> FixtureResult:
+def _digamma() -> float:
     err1 = abs(env_models.complex_digamma(1.0).real + EULER_GAMMA)
     err2 = abs(env_models.complex_digamma(0.5).real + EULER_GAMMA + 2.0 * math.log(2.0))
-    return _result(
-        "digamma",
-        "digamma closed forms at 1 and 1/2 (worst absolute error)",
-        max(err1, err2),
-        0.0,
-        1e-12,
-    )
+    return max(err1, err2)
 
 
-def fx_photon() -> FixtureResult:
-    n = photon_temperature_equivalent(REFERENCE_T_KIPA, REFERENCE_F_SIGNAL)
-    return _result(
-        "photon",
-        "photon equivalent of the device noise temperature",
-        n,
-        1.04,
-        0.02 * 1.04,
-    )
-
-
-def fx_quantum_limit() -> FixtureResult:
-    t = quantum_limit_temperature(REFERENCE_F_SIGNAL)
-    return _result(
-        "quantum-limit",
-        "half-photon temperature at the signal frequency",
-        t,
-        0.1362,
-        1e-3,
-    )
-
-
-FIXTURES: Dict[str, Callable[[], FixtureResult]] = {
-    "qc290": fx_qc290,
-    "kappa": fx_kappa,
-    "kerr": fx_kerr,
-    "gbp": fx_gbp,
-    "deamp-transmission": fx_deamp_transmission,
-    "deamp-reflection": fx_deamp_reflection,
-    "smin": fx_smin,
-    "gx": fx_gx,
-    "noise-fit": fx_noise_fit,
-    "hemt-fit": fx_hemt_fit,
-    "compression": fx_compression,
-    "field-curvature": fx_field_curvature,
-    "theta": fx_theta_recovery,
-    "digamma": fx_digamma,
-    "photon": fx_photon,
-    "quantum-limit": fx_quantum_limit,
+#: One row per check, in report order: id -> (description, measure, expected,
+#: tolerance).  ``measure()`` returns the measured value; the check passes
+#: when it lies within ``tolerance`` of ``expected``.
+FIXTURES: Dict[str, Tuple[str, Callable[[], float], float, float]] = {
+    "qc290": ("coupling quality factor of the published mirror design",
+              lambda: microwave_net.coupling_q(REFERENCE_SIF), 290.0, 1.0),
+    "kappa": ("external coupling rate of the published design",
+              lambda: microwave_net.coupling_rate(REFERENCE_SIF), 19.8e6, 0.2e6),
+    "kerr": ("self-Kerr strength at the operating point",
+             lambda: ki_device.self_kerr(REFERENCE_RESONATOR, REFERENCE_F_SIGNAL), -0.133, 0.03 * 0.133),
+    "gbp": ("gain-bandwidth product of a 25 dB curve with the fitted coupling", _gbp, 21.3e6, 0.6e6),
+    "deamp-transmission": ("transmission deamplification limit at |xi|/kappa = 0.999",
+                           lambda: io_dynamics.transmission_deamp(_cavity(19.8e6, 0.999)), 0.5, 1e-3),
+    "deamp-reflection": ("perfect reflection deamplification at |xi| = kappa/2",
+                         lambda: io_dynamics.reflection_deamp(_cavity(19.8e6, 0.5)), 0.0, 1e-15),
+    "smin": ("maximum measurable squeezing for the published budget",
+             lambda: squeeze.max_measurable_squeezing(reference_budget()), 0.9897, 1e-3),
+    "gx": ("deamplification gain extracted from the deepest measured squeezing", _gx, -2.95, 0.05),
+    "noise-fit": ("noiseless thermometry round trip for the device noise temperature",
+                  _noise_fit, REFERENCE_T_KIPA, 1e-9),
+    "hemt-fit": ("noiseless 50-ohm-through calibration of the cryogenic amplifier", _hemt_fit, REFERENCE_T_HEMT, 1e-9),
+    "compression": ("output saturation power from the 1-dB compression bookkeeping", _compression, -65.0, 1.0),
+    "field-curvature": ("isotropic quadratic coefficient of the parallel-field shift",
+                        lambda: env_models.field_curvature(_FIELD_MODEL), 1.7412e-3, 0.01 * 1.7412e-3),
+    "theta": ("noiseless recovery of the planted misalignment angle", _theta, _THETA, 0.01 * _THETA),
+    "digamma": ("digamma closed forms at 1 and 1/2 (worst absolute error)", _digamma, 0.0, 1e-12),
+    "photon": ("photon equivalent of the device noise temperature",
+               lambda: photon_temperature_equivalent(REFERENCE_T_KIPA, REFERENCE_F_SIGNAL), 1.04, 0.02 * 1.04),
+    "quantum-limit": ("half-photon temperature at the signal frequency",
+                      lambda: quantum_limit_temperature(REFERENCE_F_SIGNAL), 0.1362, 1e-3),
 }
 
 
 def run_fixture(fixture_id: str) -> list[FixtureResult]:
-    if fixture_id == "all":
-        return [fn() for fn in FIXTURES.values()]
-    if fixture_id not in FIXTURES:
+    """The results of fixture ``fixture_id``, or of every fixture for "all"."""
+    if fixture_id != "all" and fixture_id not in FIXTURES:
         known = ", ".join(sorted(FIXTURES))
         raise ConfigError(f"unknown fixture {fixture_id!r}; known: {known}, all")
-    return [FIXTURES[fixture_id]()]
+    results = []
+    for fixture in FIXTURES if fixture_id == "all" else [fixture_id]:
+        description, measure, expected, tolerance = FIXTURES[fixture]
+        measured = measure()
+        passed = bool(abs(measured - expected) <= tolerance)
+        results.append(FixtureResult(fixture, description, float(measured), float(expected), float(tolerance), passed))
+    return results

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .quantities import VACUUM_VARIANCE, n_kappa2_term
+from .quantities import VACUUM_VARIANCE, bisect, n_kappa2_term
 
 #: Lowest quadrature gain reachable in transmission (the -3 dB limit).
 GX_FLOOR = 0.5
@@ -103,11 +103,4 @@ def extract_gx(s_measured: float, budget: SqueezeBudget) -> float:
             f"S = {s_measured:.6f} is at or below the measurable floor "
             f"S_min = {s_min:.6f} for this budget"
         )
-    lo, hi = GX_FLOOR, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if squeezing_factor(mid, budget) < s_measured:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda g_x: squeezing_factor(g_x, budget) - s_measured, GX_FLOOR, 1.0, s_min - s_measured, 1e-12)

@@ -8,6 +8,7 @@ import pytest
 from kipa_lab import cli, env_models, io_dynamics, report
 from kipa_lab.errors import DomainError
 from kipa_lab.fitkit import SweepRecord
+from kipa_lab.reproduce import FIXTURES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -233,6 +234,27 @@ def test_squeeze_needs_an_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_squeeze_flag_replaces_both_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "b.json"
+    cfg.write_text(_edited("budget.json", -2.95, "g_x_db"))  # the config now holds both keys
+    code, doc = run_json(capsys, "squeeze", "--config", str(cfg), "--s", "0.99")
+    assert code == 0
+    assert doc["results"]["s"] == 0.99
+    assert doc["results"]["g_x_db"] != pytest.approx(-2.95, abs=1e-3)
+    code, doc = run_json(capsys, "squeeze", "--config", str(cfg))
+    assert code == 0
+    assert doc["results"]["g_x_db"] == -2.95  # with no flag, the config's g_x_db wins over its s_measured
+
+
+def test_squeeze_both_flags_exit_2(capsys):
+    code = cli.main(["squeeze", "--config", str(CONFIGS / "budget.json"), "--gx-db", "-2.95", "--s", "0.99"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0] == "configuration error: squeeze takes --gx-db or --s, not both"
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 @pytest.mark.parametrize("g_x_db", [1e300, -1e300])
 def test_squeeze_out_of_range_gx_names_the_key(tmp_path, capsys, where, g_x_db):
@@ -411,6 +433,16 @@ def test_pump_search_oversized_grid_exits_4(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("domain error: a search level would hold 8.2e+08 pump points")
 
 
+def test_pump_search_bad_map_exits_2_naming_the_block(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(_edited("pump_search.json", -1.0, "map", "kappa_hz"))
+    code = cli.main(["pump-search", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["configuration error: bad map: kappa must be positive"]
+
+
 @pytest.mark.parametrize(
     "settings",
     [{"n_f_coarse": 1}, {"p_step_db": 0}, {"p_step_db": -0.25}, {"refine_to_hz": 0}],
@@ -464,6 +496,14 @@ def test_reproduce_single_and_all(capsys):
     assert code == 0
     assert out.count("PASS") >= 15
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("fixture", list(FIXTURES))
+def test_reproduce_each_fixture_alone(capsys, fixture):
+    code, out = run(capsys, "reproduce", fixture)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"PASS {fixture}: "), out
 
 
 def test_reproduce_unknown_fixture_exits_2(capsys):

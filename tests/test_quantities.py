@@ -11,6 +11,7 @@ from kipa_lab.quantities import (
     HBAR,
     MU_0,
     PLANCK,
+    bisect,
     bose_einstein_occupation,
     db_to_linear,
     linear_to_db,
@@ -123,3 +124,10 @@ def test_domain_errors():
         linear_to_db(0.0)
     with pytest.raises(DomainError):
         bose_einstein_occupation(-1.0, F_SIGNAL)
+
+
+def test_bisect_brackets_the_root_to_its_tolerance():
+    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 1e-12)
+    assert abs(root - math.sqrt(2.0)) <= 1e-12
+    # Near 1e20 adjacent doubles are 16384 apart: the bracket stops shrinking long before a 1e-5 width.
+    assert bisect(lambda x: x - 1.5e20, 1e20, 2e20, -0.5e20, 1e-5) == pytest.approx(1.5e20, rel=1e-15)
