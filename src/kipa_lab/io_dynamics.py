@@ -41,6 +41,10 @@ _POLE_GUARD = 1e-12
 # threshold, 10 reach the peak to 1e-12 dB; the rest is margin.
 _NEWTON_STEPS = 16
 
+# How far below floor_db the closed-form bound of peak_gain_db must lie
+# before a point is not stepped; covers the rounding of bound and kernel.
+_BOUND_MARGIN_DB = 1e-6
+
 # Cap on the tenfold refinements of the pump-search frequency grid; the
 # bundled search (10 MHz coarse step, 10 kHz target) takes 3.
 _MAX_REFINEMENTS = 8
@@ -150,7 +154,7 @@ def idler_gain(cav: PumpedCavity, f_hz, allow_unstable: bool = False):
     return complex(g) if np.isscalar(f_hz) else g
 
 
-def peak_gain_db(kappa, gamma, delta, xi):
+def peak_gain_db(kappa, gamma, delta, xi, floor_db=-math.inf):
     """Maximum over the signal offset of 10*log10|g_s|^2, elementwise.
 
     Takes broadcastable arrays of rates in one unit (xi by magnitude) and
@@ -167,23 +171,74 @@ def peak_gain_db(kappa, gamma, delta, xi):
     outdone, never overshoot the peak.  The result is bit for bit that of
     _NEWTON_STEPS steps from both starts at every point, but unstable points
     are not stepped, nor -r where r = 0 (it takes the values +r does).
+
+    With ``floor_db`` set, every stable point first gets a closed-form upper
+    bound on its peak.  A point whose bound is more than _BOUND_MARGIN_DB
+    below ``floor_db`` is not stepped and returns the bound, a value below
+    ``floor_db``; every other point returns the bits it returns without
+    ``floor_db``.  The bound: with q = d^2 - x^2 = a - 1 and v = 1 + w^2,
+    D = (v - q)^2 + 4q, and N <= (1 + t) v with
+    t = (d^2 + |d| sqrt(d^2 + 4))/2, as 1 + t is the larger eigenvalue of
+    [[1, d], [d, 1 + d^2]], the matrix of N as a form in (w, 1).  The slope
+    of v/D has the sign of q^2 + 4q - v^2, so over v >= 1 it peaks at
+    F = 1/a^2 if q^2 + 4q <= 1, and otherwise at v* = sqrt(q^2 + 4q), where
+    D = 2 v*(v* - q) and F = (q + v*)/(8q).  Hence
+    |g_s|^2 <= k^2 (1 + t) F, with equality at Delta = 0: there t = 0, and
+    bound and kernel both compute k^2/a^2, to the bit.  The bound is taken
+    for the kernel's own rounded a, so the margin need only cover the
+    rounding of N/D and of the bound: a few ulp, up to about |d| ulp where
+    w^2 nearly cancels a, against the 2.3e-7 relative that 1e-6 dB allows.
     """
     kappa = np.asarray(kappa, dtype=float)
     kb = kappa + np.asarray(gamma, dtype=float) / 2.0
     delta, xi = np.asarray(delta, dtype=float), np.abs(xi)
-    k, d, x = kappa / kb, delta / kb, xi / kb
-    e = 1.0 + d * d
-    a = e - x * x
+    stable = drift_stable(kb, delta, xi)
+    out = np.full(stable.shape, np.nan)
+    k, d, x = (np.broadcast_to(v, stable.shape)[stable] for v in (kappa / kb, delta / kb, xi / kb))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dd = d * d
+        e = 1.0 + dd
+        a = e - x * x
+        peak = _peak_bound_db(k, d, dd, a)
+        keep = ~(peak < floor_db - _BOUND_MARGIN_DB)
+        peak[keep] = _peak_db(*(v[keep] for v in (k, d, dd, e, a, x)))
+    out[stable] = peak
+    return out
+
+
+def _peak_bound_db(k, d, dd, a):
+    """The upper bound k^2 (1 + t) F of peak_gain_db's docstring, in dB, on
+    gathered scaled rates (dd = d*d and a as the kernel computes them)."""
+    bound = np.sqrt(dd + 4.0)
+    bound *= np.abs(d)
+    bound += dd
+    bound *= 0.5
+    bound += 1.0
+    bound *= k * k
+    q = a - 1.0
+    s = q + 4.0
+    s *= q
+    f = a * a
+    np.divide(1.0, f, out=f)
+    high = s > 1.0
+    if high.any():
+        q = q[high]
+        f[high] = (q + np.sqrt(s[high])) / (8.0 * q)
+    bound *= f
+    np.log10(bound, out=bound)
+    bound *= 10.0
+    return bound
+
+
+def _peak_db(k, d, dd, e, a, x):
+    """The Newton kernel of peak_gain_db on gathered stable points."""
     b = 4.0 - 2.0 * a
     cs = (3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d)
-    r = np.sqrt(np.maximum(d * d - x * x, 0.0))
-    stable = drift_stable(kb, delta, xi)
+    r = np.sqrt(np.maximum(dd - x * x, 0.0))
     starts = np.stack([r, -r])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = _newton(starts, cs, np.stack([stable, stable & (r > 0.0)]))
-        peak = np.fmax(_gain_ratio(starts, d, a), _gain_ratio(w, d, a))
-        peak_db = 10.0 * np.log10(k * k * peak)
-    return np.where(stable, peak_db, np.nan)
+    w = _newton(starts, cs, np.stack([np.ones(r.shape, dtype=bool), r > 0.0]))
+    peak = np.fmax(_gain_ratio(starts, d, a), _gain_ratio(w, d, a))
+    return 10.0 * np.log10(k * k * peak)
 
 
 def _newton(w, cs, todo):
@@ -449,7 +504,7 @@ class PumpSearchResult:
 
 
 def find_optimal_pump(
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    evaluator: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     target_db: float,
     f_bounds: Tuple[float, float],
     p_bounds_dbm: Tuple[float, float],
@@ -459,17 +514,25 @@ def find_optimal_pump(
 ) -> PumpSearchResult:
     """Grid search for the cheapest pump setting reaching a target gain.
 
-    ``evaluator(f_pump_hz, p_pump_dbm)`` takes a column of pump frequencies
-    and a row of pump powers and returns the peak gain in dB on the whole
-    (f_pump x P_pump) grid, non-finite where the cavity self-oscillates; it
-    is called once per level of the search.  Each row is then replayed as a
-    power ramp from the lowest power, which stops at the first point that is
-    non-finite or reaches the target.  Only the points a ramp visits count:
-    they give the candidates, the best point, ``self_oscillation`` and
-    ``n_evaluations``.  The frequency grid is refined tenfold around the best
-    candidate until its spacing is at most ``refine_to_hz``, at most
-    _MAX_REFINEMENTS times.  A level of more than _MAX_GRID_POINTS points
-    is a DomainError, raised before any grid is built.
+    ``evaluator(f_pump_hz, p_pump_dbm, floor_db)`` takes a column of pump
+    frequencies, a row of pump powers and a gain floor in dB, and returns
+    the peak gain in dB on the whole (f_pump x P_pump) grid, non-finite where
+    the cavity self-oscillates.  Where the peak is below ``floor_db`` it may
+    return any finite value below ``floor_db`` instead, as
+    peak_gain_db(..., floor_db) does from its closed-form bound; with
+    ``floor_db = -inf`` every value is exact.  It is called once per level
+    of the search with ``floor_db = target_db``: a point below the target
+    neither stops a ramp nor becomes a candidate, whatever its value.  Each
+    row is replayed as a power ramp from the lowest power, which stops at
+    the first point that is non-finite or reaches the target.  Only the
+    points a ramp visits count: they give the candidates,
+    ``self_oscillation`` and ``n_evaluations``.  The frequency grid is
+    refined tenfold around the best candidate until its spacing is at most
+    ``refine_to_hz``, at most _MAX_REFINEMENTS times.  If the coarse level
+    has no candidate, the search fails and calls the evaluator once more on
+    that grid with ``floor_db = -inf``, to report the highest gain the ramps
+    visited.  A level of more than _MAX_GRID_POINTS points is a DomainError,
+    raised before any grid is built.
     """
     f_lo, f_hi = f_bounds
     p_lo, p_hi = p_bounds_dbm
@@ -484,37 +547,39 @@ def find_optimal_pump(
         raise DomainError(f"a search level would hold {n_level:.3g} pump points, more than {_MAX_GRID_POINTS:.0e}")
     p_grid = np.arange(p_lo, p_hi + 0.5 * p_step_db, p_step_db)
 
-    state = {"n": 0, "osc": False, "best": (-math.inf, None, None)}
+    state = {"n": 0, "osc": False}
 
     def scan(f_values):
         # Candidate ordering: lowest power first, then highest achieved gain
         # (at equal quantized power the gain peaks at the optimal frequency),
         # then frequency for determinism.
-        g = evaluator(f_values[:, None], p_grid[None, :])
+        g = evaluator(f_values[:, None], p_grid[None, :], target_db)
         stop = ~np.isfinite(g) | (g >= target_db)
         stopped = stop.any(axis=1)
         last = np.where(stopped, stop.argmax(axis=1), p_grid.size - 1)
         g_last = g[np.arange(f_values.size), last]
         state["n"] += int(last.sum()) + f_values.size
         state["osc"] |= bool(np.any(stopped & ~np.isfinite(g_last)))
-        # The first maximum in ramp order, as a point-by-point scan meets it.
-        seen = np.where((np.arange(p_grid.size) <= last[:, None]) & np.isfinite(g), g, -math.inf)
-        i_f, i_p = np.unravel_index(np.argmax(seen), seen.shape)
-        if seen[i_f, i_p] > state["best"][0]:
-            state["best"] = (float(seen[i_f, i_p]), float(f_values[i_f]), float(p_grid[i_p]))
         hits = np.flatnonzero(stopped & np.isfinite(g_last))
-        return [(float(p_grid[last[j]]), -float(g_last[j]), float(f_values[j])) for j in hits]
+        return [(float(p_grid[last[j]]), -float(g_last[j]), float(f_values[j])) for j in hits], last
 
     f_grid = np.linspace(f_lo, f_hi, n_f_coarse)
     step = (f_hi - f_lo) / (n_f_coarse - 1)
-    candidates = scan(f_grid)
+    candidates, last = scan(f_grid)
     if not candidates:
-        g_best, f_best, p_best = state["best"]
+        # The best point is read from exact values: the first maximum in
+        # ramp order, as a point-by-point scan meets it.
+        g = evaluator(f_grid[:, None], p_grid[None, :], -math.inf)
+        seen = np.where((np.arange(p_grid.size) <= last[:, None]) & np.isfinite(g), g, -math.inf)
+        i_f, i_p = np.unravel_index(np.argmax(seen), seen.shape)
+        g_best, f_best, p_best = (None, None, None)
+        if seen[i_f, i_p] > -math.inf:
+            g_best, f_best, p_best = float(seen[i_f, i_p]), float(f_grid[i_f]), float(p_grid[i_p])
         return PumpSearchResult(
             success=False,
             f_pump_hz=f_best,
             p_pump_dbm=p_best,
-            gain_db=None if f_best is None else g_best,
+            gain_db=g_best,
             self_oscillation=state["osc"],
             n_evaluations=state["n"],
             message="target gain not reached inside the search rectangle",
@@ -527,7 +592,7 @@ def find_optimal_pump(
         hi = min(f_hi, f_best + step)
         step /= 10.0
         fine = np.arange(lo, hi + 0.5 * step, step)
-        found = scan(fine)
+        found, _ = scan(fine)
         if found:
             p_best, neg_g, f_best = min(found)
             g_best = -neg_g

@@ -189,16 +189,19 @@ class PumpMap:
         if not self.gamma_hz >= 0.0:
             raise DomainError("gamma must be non-negative")
 
-    def peak_gain_db(self, f_pump_hz, p_pump_dbm) -> np.ndarray:
+    def peak_gain_db(self, f_pump_hz, p_pump_dbm, floor_db=-math.inf) -> np.ndarray:
         """Peak gain in dB on broadcast arrays of pump frequency (Hz) and
-        power (dBm), NaN in the self-oscillation regime; the grid evaluator
-        of io_dynamics.find_optimal_pump."""
+        power (dBm), NaN in the self-oscillation regime, with a bound below
+        ``floor_db`` in place of a peak below it (io_dynamics.peak_gain_db);
+        the grid evaluator of io_dynamics.find_optimal_pump.  A power too
+        large for a double gives an infinite |xi|, which self-oscillates."""
         from .io_dynamics import peak_gain_db
         f_pump_hz = np.asarray(f_pump_hz, dtype=float)
         if np.any(f_pump_hz <= 0.0):
             raise DomainError("pump frequency must be positive")
-        xi_hz = self.xi_hz_per_sqrt_mw * 10.0 ** (np.asarray(p_pump_dbm, dtype=float) / 20.0)
-        return peak_gain_db(self.kappa_hz, self.gamma_hz, self.f_r_hz - f_pump_hz / 2.0, xi_hz)
+        with np.errstate(over="ignore"):
+            xi_hz = self.xi_hz_per_sqrt_mw * 10.0 ** (np.asarray(p_pump_dbm, dtype=float) / 20.0)
+        return peak_gain_db(self.kappa_hz, self.gamma_hz, self.f_r_hz - f_pump_hz / 2.0, xi_hz, floor_db)
 
 
 def pump_gain_map(

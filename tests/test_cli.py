@@ -433,6 +433,25 @@ def test_pump_search_oversized_grid_exits_4(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("domain error: a search level would hold 8.2e+08 pump points")
 
 
+@pytest.mark.parametrize("p_hi", [3000.0, 6000.0])
+def test_pump_search_overflowing_powers_are_silent(tmp_path, capsys, p_hi):
+    # |xi|^2 overflows a double past about 3000 dBm and |xi| past about
+    # 6000 dBm; such a pump self-oscillates, and every ramp of the bundled
+    # search reaches the target long before.
+    bundled = ["pump-search", "--config", str(CONFIGS / "pump_search.json")]
+    assert cli.main(bundled) == 0
+    want = json.loads(capsys.readouterr().out)["results"]
+    cfg = tmp_path / "p.json"
+    cfg.write_text(_edited("pump_search.json", [-60.0, p_hi], "search", "p_bounds_dbm"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["pump-search", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == "" and caught == []
+    assert json.dumps(json.loads(out)["results"]) == json.dumps(want)
+
+
 def test_pump_search_bad_map_exits_2_naming_the_block(tmp_path, capsys):
     cfg = tmp_path / "p.json"
     cfg.write_text(_edited("pump_search.json", -1.0, "map", "kappa_hz"))

@@ -467,7 +467,7 @@ def test_grid_search_matches_scalar_power_ramp(case):
 
 def test_grid_search_counts_only_what_the_ramps_visit():
     # NaN at -50 dBm, then a higher gain that no ramp reaches.
-    def law(f, p):
+    def law(f, p, floor_db=-math.inf):
         g = np.where(p < -50.0, 10.0 + (p + 60.0) / 10.0, 15.0) + 0.0 * f
         return np.where(p == -50.0, np.nan, g)
 

@@ -8,6 +8,11 @@ starts at every point.  Equal means np.array_equal with equal_nan and an
 equal np.signbit, on seeded grids, at the edges of the domain, on the
 levels of the bundled and the detuned pump searches, and on arrays drawn
 by hypothesis.
+
+With a floor, the kernel skips the points whose closed-form upper bound
+lies below it.  The bound must never be below the kernel's value and must
+equal it at zero detuning, and the pump search, which passes its target as
+the floor, must give every field of the result an exhaustive search gives.
 """
 
 import json
@@ -24,6 +29,7 @@ from kipa_lab import io_dynamics
 from kipa_lab.io_dynamics import find_optimal_pump, peak_gain_db
 from kipa_lab.synthetic import PumpMap
 from reference.peak_gain_16 import peak_gain_db as reference_peak_gain_db
+from test_io_dynamics import PUMP_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,22 +84,34 @@ def test_broadcast_column_against_row():
     assert_same_bits(kb, 0.0, np.array([[0.0], [0.5 * kb]]), np.array([0.9, 1.08, 1.2]) * kb)
 
 
-def pump_problems():
-    """The bundled pump search and both detuned benchmark searches, as
-    (map, search) keyword dicts."""
+def perfbench_inputs():
+    """The benchmark's problem generators, perfbench/inputs.py."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import inputs
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return inputs
+
+
+def as_search(problem):
+    """A pump-search config as (map, search) keyword dicts."""
+    s = dict(problem["search"])
+    s["f_bounds"] = tuple(s.pop("f_bounds_hz"))
+    s["p_bounds_dbm"] = tuple(s["p_bounds_dbm"])
+    return problem["map"], s
+
+
+def pump_problems():
+    """The bundled pump search and both detuned benchmark searches, as
+    (map, search) keyword dicts."""
     bundled = json.loads((ROOT / "configs" / "pump_search.json").read_text())
-    out = []
-    for problem in [bundled, *inputs.DETUNED_PUMP_PROBLEMS]:
-        s = dict(problem["search"])
-        s["f_bounds"] = tuple(s.pop("f_bounds_hz"))
-        s["p_bounds_dbm"] = tuple(s["p_bounds_dbm"])
-        out.append((problem["map"], s))
-    return out
+    return [as_search(p) for p in [bundled, *perfbench_inputs().DETUNED_PUMP_PROBLEMS]]
+
+
+def reference_ignoring_floor(kappa, gamma, delta, xi, floor_db=-np.inf):
+    """The frozen kernel under peak_gain_db's signature: exact everywhere."""
+    return reference_peak_gain_db(kappa, gamma, delta, xi)
 
 
 @pytest.mark.parametrize("i", range(3), ids=["bundled", "detuned-below", "detuned-above"])
@@ -102,7 +120,7 @@ def test_pump_search_levels_and_result_match_the_16_step_kernel(i, monkeypatch):
     law = PumpMap(**m)
     grids = []
 
-    def evaluator(f_pump_hz, p_pump_dbm):
+    def evaluator(f_pump_hz, p_pump_dbm, floor_db):
         grids.append((f_pump_hz, p_pump_dbm))
         return law.peak_gain_db(f_pump_hz, p_pump_dbm)
 
@@ -111,7 +129,7 @@ def test_pump_search_levels_and_result_match_the_16_step_kernel(i, monkeypatch):
     delta = m["f_r_hz"] - np.concatenate([f for f, _ in grids]) / 2.0
     xi = m["xi_hz_per_sqrt_mw"] * 10.0 ** (grids[0][1] / 20.0)
     assert_same_bits(m["kappa_hz"], m["gamma_hz"], delta, xi)
-    monkeypatch.setattr(io_dynamics, "peak_gain_db", reference_peak_gain_db)
+    monkeypatch.setattr(io_dynamics, "peak_gain_db", reference_ignoring_floor)
     assert find_optimal_pump(law.peak_gain_db, **search) == got
 
 
@@ -133,3 +151,60 @@ def test_drawn_arrays_match_the_16_step_kernel(data):
     else:
         xi = frac * 100.0
     assert_same_bits(kappa, gamma, delta, xi)
+
+
+@pytest.mark.parametrize("case", sorted(PUMP_CASES))
+def test_pruned_search_equals_exhaustive_search_on_pump_cases(case, monkeypatch):
+    params, (target, f_bounds, p_bounds) = PUMP_CASES[case]
+    law = PumpMap(*params).peak_gain_db
+    got = find_optimal_pump(law, target, f_bounds, p_bounds)
+    assert find_optimal_pump(lambda f, p, floor_db: law(f, p), target, f_bounds, p_bounds) == got
+    monkeypatch.setattr(io_dynamics, "peak_gain_db", reference_ignoring_floor)
+    assert find_optimal_pump(law, target, f_bounds, p_bounds) == got
+
+
+def test_pruned_search_equals_exhaustive_search_on_drawn_problems():
+    """200 benchmark problems: every field of the result, floor or none."""
+    inputs, rng = perfbench_inputs(), np.random.default_rng(16)
+    for _ in range(200):
+        m, search = as_search(inputs.pump_problem(rng))
+        law = PumpMap(**m).peak_gain_db
+        got = find_optimal_pump(law, **search)
+        assert got.success
+        assert find_optimal_pump(lambda f, p, floor_db: law(f, p), **search) == got
+
+
+def same_bits(got, want):
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_closed_form_bound(data):
+    """peak_gain_db(..., floor_db=inf) returns the bound at every stable point
+    where it is finite: never below the kernel, equal to it at Delta = 0.  A
+    floor changes only values it returns below the floor, and NaN marks
+    exactly the points without a steady state."""
+    n = data.draw(st.integers(1, 8))
+    kappa = data.draw(st.floats(0.01, 100.0))
+    gamma = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    kb = kappa + gamma / 2.0
+    d = data.draw(hnp.arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(-1.0, 1.0), st.floats(-10.0, 10.0), st.floats(-1e3, 1e3))))
+    frac = data.draw(hnp.arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 1.0, exclude_max=True), st.floats(1e-12, 1e-3).map(lambda u: 1.0 - u))))
+    delta = d * kb
+    xi = frac * np.hypot(kb, delta)
+    floor = data.draw(st.floats(-20.0, 80.0))
+    exact = peak_gain_db(kappa, gamma, delta, xi)
+    bound = peak_gain_db(kappa, gamma, delta, xi, floor_db=np.inf)
+    pruned = peak_gain_db(kappa, gamma, delta, xi, floor_db=floor)
+    unstable = ~io_dynamics.drift_stable(kb, delta, xi)
+    for got in (exact, bound, pruned):
+        assert np.array_equal(np.isnan(got), unstable)
+    assert np.all(bound[~unstable] >= exact[~unstable])
+    at_zero = ~unstable & (delta == 0.0)
+    assert np.all(np.abs(bound[at_zero] - exact[at_zero]) <= 1e-9)
+    kept = ~(pruned < floor)
+    assert same_bits(pruned[kept], exact[kept])
+    assert np.all(pruned[~unstable] >= exact[~unstable])
