@@ -170,7 +170,7 @@ def peak_gain_db(kappa, gamma, delta, xi, floor_db=-math.inf):
     lies on the curve, so a start that does not converge can only be
     outdone, never overshoot the peak.  The result is bit for bit that of
     _NEWTON_STEPS steps from both starts at every point, but unstable points
-    are not stepped, nor -r where r = 0 (it takes the values +r does).
+    are not stepped.
 
     With ``floor_db`` set, every stable point first gets a closed-form upper
     bound on its peak.  A point whose bound is more than _BOUND_MARGIN_DB
@@ -236,45 +236,36 @@ def _peak_db(k, d, dd, e, a, x):
     cs = (3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d)
     r = np.sqrt(np.maximum(dd - x * x, 0.0))
     starts = np.stack([r, -r])
-    w = _newton(starts, cs, np.stack([np.ones(r.shape, dtype=bool), r > 0.0]))
+    w = _newton(starts, cs)
     peak = np.fmax(_gain_ratio(starts, d, a), _gain_ratio(w, d, a))
     return 10.0 * np.log10(k * k * peak)
 
 
-def _newton(w, cs, todo):
+def _newton(w, cs):
     """w after _NEWTON_STEPS Newton steps on Q (coefficients cs from c4 down,
-    broadcast against w) where todo is set, w elsewhere; only those points
-    are stepped, on gathered copies.  A point whose step s+1 returns the bits
-    of step s-1 repeats those two values, so its last iterate follows from
-    the parity of the steps left.  Once 7/8 have settled, the rest is gathered."""
-    out, pos = w.copy(), np.flatnonzero(todo)
-    w = prev = out.flat[pos]
-    cs = [np.broadcast_to(c, todo.shape)[todo] for c in cs]
-    live = np.ones(w.shape, dtype=bool)
+    broadcast against w).  A point whose step s+1 returns the bits of step
+    s-1 repeats those two values, so once every point does, the loop stops
+    and the last iterate follows from the parity of the steps left."""
+    c4, c3, c2, c1, c0 = cs
+    dcs = ((c3, 3.0 * c3), (c2, 2.0 * c2), (c1, c1))
+    d4, prev = 4.0 * c4, w
     for t in range(_NEWTON_STEPS):
-        if 8 * np.count_nonzero(live) <= live.size:
-            out.flat[pos[~live]] = (w, prev)[(_NEWTON_STEPS - t) % 2][~live]
-            pos, w, prev, live, *cs = (v[live] for v in (pos, w, prev, live, *cs))
-            if not w.size:
-                return out
-        # In-place Horner keeps the working set to a few arrays of the stepped points.
-        c4, c3, c2, c1, c0 = cs
         q = w + c4
         dq = 5.0 * w
-        dq += 4.0 * c4
-        for coef, n in ((c3, 3.0), (c2, 2.0), (c1, 1.0)):
+        dq += d4
+        for coef, dcoef in dcs:
             q *= w
             q += coef
             dq *= w
-            dq += n * coef
+            dq += dcoef
         q *= w
         q += c0
         q /= dq
         q = w - q
-        live &= q.view(np.int64) != prev.view(np.int64)
+        if (q.view(np.int64) == prev.view(np.int64)).all():
+            return (q, w)[(_NEWTON_STEPS - t - 1) % 2]
         prev, w = w, q
-    out.flat[pos] = w
-    return out
+    return w
 
 
 def _gain_ratio(w, d, a):

@@ -24,13 +24,13 @@ def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
     return list(np.geomspace(lo_k, hi_k, 4))
 
 
-def _with_relative_noise(x, y, noise_frac: float, rng: np.random.Generator) -> SweepRecord:
-    """(x, y) with Gaussian noise of standard deviation noise_frac * y added
-    to y and recorded as sigma_y, or noiseless when noise_frac <= 0."""
-    if noise_frac > 0:
-        sigma = noise_frac * y
-        return SweepRecord(x, y + rng.normal(0.0, sigma), sigma)
-    return SweepRecord(x, y)
+def _with_noise(x, y, sigma, rng: np.random.Generator) -> SweepRecord:
+    """(x, y) with Gaussian noise of standard deviation sigma (an array
+    shaped like y) added to y and recorded as sigma_y, or noiseless when
+    sigma is None."""
+    if sigma is None:
+        return SweepRecord(x, y)
+    return SweepRecord(x, y + rng.normal(0.0, sigma), sigma)
 
 
 def gain_sweep(
@@ -50,9 +50,8 @@ def gain_sweep(
     xi_hz = xi_frac_of_kbar * kbar_hz
     cav = PumpedCavity.from_ordinary(kappa_hz, gamma_hz, delta_hz, -1j * xi_hz, f_pump_hz)
     f = np.linspace(f_pump_hz / 2.0 - span_hz / 2.0, f_pump_hz / 2.0 + span_hz / 2.0, n_points)
-    curve = GainCurve.from_cavity(cav, f)
-    y = curve.power_gain_db + (rng.normal(0.0, noise_db, n_points) if noise_db > 0 else 0.0)
-    sigma = np.full(n_points, noise_db) if noise_db > 0 else None
+    y = GainCurve.from_cavity(cav, f).power_gain_db
+    sweep = _with_noise(f, y, np.full(n_points, noise_db) if noise_db > 0 else None, rng)
     truth = {
         "kappa_hz": kappa_hz,
         "gamma_hz": gamma_hz,
@@ -60,7 +59,7 @@ def gain_sweep(
         "xi_hz": xi_hz,
         "f_pump_hz": f_pump_hz,
     }
-    return SweepRecord(f, y, sigma), truth
+    return sweep, truth
 
 
 def gain_db_model(f: np.ndarray, p: Sequence[float], f_pump_hz: float) -> np.ndarray:
@@ -96,7 +95,7 @@ def noise_sweep(
     sp = VtsSetpoint(np.asarray(t_vts, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
     xs = input_noise(vts_output_noise(sp, chain.g), chain)
     ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (xs + t_add + chain.t_bkg / (chain.g_hemt * chain.g))
-    return _with_relative_noise(xs, ys, noise_frac, rng), {"t_add_k": t_add, "t_kipa_k": t_kipa}
+    return _with_noise(xs, ys, noise_frac * ys if noise_frac > 0 else None, rng), {"t_add_k": t_add, "t_kipa_k": t_kipa}
 
 
 def hemt_sweep(
@@ -111,7 +110,7 @@ def hemt_sweep(
     xs = np.asarray(vts_setpoint_ladder(0.1, 3.0) if t_vts_values is None else t_vts_values, dtype=float)
     t_in = hemt_input_noise(xs, f_signal_hz, chain)
     ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (t_in + chain.t_hemt + chain.t_bkg / chain.g_hemt)
-    return _with_relative_noise(xs, ys, noise_frac, rng), {"t_hemt_k": chain.t_hemt}
+    return _with_noise(xs, ys, noise_frac * ys if noise_frac > 0 else None, rng), {"t_hemt_k": chain.t_hemt}
 
 
 def compression_sweep(
@@ -131,13 +130,10 @@ def compression_sweep(
     if depth_db <= 1.0:
         raise DomainError("depth_db must exceed 1 dB for a 1-dB point to exist")
     g = small_signal_gain_db - depth_db / (1.0 + np.exp(-(p_grid_dbm - p_mid_dbm) / softness_db))
-    sigma = None
-    if noise_db > 0:
-        sigma = np.full(p_grid_dbm.size, noise_db)
-        g = g + rng.normal(0.0, noise_db, p_grid_dbm.size)
+    sweep = _with_noise(p_grid_dbm, g, np.full(p_grid_dbm.size, noise_db) if noise_db > 0 else None, rng)
     p_1db = p_mid_dbm - softness_db * math.log(depth_db - 1.0)
     truth = {"p_in_1db_dbm": p_1db, "p_out_sat_dbm": p_1db + small_signal_gain_db - 1.0}
-    return SweepRecord(p_grid_dbm, g, sigma), truth
+    return sweep, truth
 
 
 def clem_tuning_sweep(
@@ -148,8 +144,9 @@ def clem_tuning_sweep(
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(bias current, resonance frequency) sweep from the tuning law."""
     from .ki_device import resonance_vs_bias
+    y = resonance_vs_bias(currents_a, res)
     truth = {"i_star_a": res.i_star, "clem_exponent": res.clem_exponent}
-    return _with_relative_noise(currents_a, resonance_vs_bias(currents_a, res), noise_frac, rng), truth
+    return _with_noise(currents_a, y, noise_frac * y if noise_frac > 0 else None, rng), truth
 
 
 def field_shift_sweep(
@@ -161,12 +158,8 @@ def field_shift_sweep(
     """(B, d_omega/omega) sweep from the quadratic field law."""
     from .env_models import field_frequency_shift
     y = field_frequency_shift(b_values_t, model)
-    sigma = None
-    if noise_abs > 0:
-        sigma = np.full(b_values_t.size, noise_abs)
-        y = y + rng.normal(0.0, noise_abs, b_values_t.size)
-    truth = {"theta_b_rad": model.theta_b}
-    return SweepRecord(b_values_t, y, sigma), truth
+    sigma = np.full(b_values_t.size, noise_abs) if noise_abs > 0 else None
+    return _with_noise(b_values_t, y, sigma, rng), {"theta_b_rad": model.theta_b}
 
 
 @dataclass(frozen=True)
@@ -188,6 +181,8 @@ class PumpMap:
             raise DomainError("kappa must be positive")
         if not self.gamma_hz >= 0.0:
             raise DomainError("gamma must be non-negative")
+        if not self.xi_hz_per_sqrt_mw > 0.0:
+            raise DomainError("coupling must be positive")
 
     def peak_gain_db(self, f_pump_hz, p_pump_dbm, floor_db=-math.inf) -> np.ndarray:
         """Peak gain in dB on broadcast arrays of pump frequency (Hz) and

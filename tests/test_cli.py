@@ -452,14 +452,23 @@ def test_pump_search_overflowing_powers_are_silent(tmp_path, capsys, p_hi):
     assert json.dumps(json.loads(out)["results"]) == json.dumps(want)
 
 
-def test_pump_search_bad_map_exits_2_naming_the_block(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kappa_hz", -1.0, "kappa must be positive"),
+        ("xi_hz_per_sqrt_mw", 0.0, "coupling must be positive"),
+        ("xi_hz_per_sqrt_mw", -2.2e9, "coupling must be positive"),
+    ],
+    ids=["kappa", "zero-coupling", "negative-coupling"],
+)
+def test_pump_search_bad_map_exits_2_naming_the_block(tmp_path, capsys, key, value, message):
     cfg = tmp_path / "p.json"
-    cfg.write_text(_edited("pump_search.json", -1.0, "map", "kappa_hz"))
+    cfg.write_text(_edited("pump_search.json", value, "map", key))
     code = cli.main(["pump-search", "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.strip().splitlines() == ["configuration error: bad map: kappa must be positive"]
+    assert err.strip().splitlines() == [f"configuration error: bad map: {message}"]
 
 
 @pytest.mark.parametrize(

@@ -453,12 +453,18 @@ PUMP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PUMP_CASES))
-def test_grid_search_matches_scalar_power_ramp(case):
+@pytest.mark.parametrize(
+    "case, refine_to_hz",
+    [(case, 1e4) for case in sorted(PUMP_CASES)] + [("pump_search.json", 1e-3)],
+    ids=[*sorted(PUMP_CASES), "refinement-cap"],
+)
+def test_grid_search_matches_scalar_power_ramp(case, refine_to_hz):
+    """refinement-cap: a resolution that 8 refinements of the 1 MHz coarse
+    step cannot reach, so both searches stop at 0.01 Hz."""
     params, (target, f_bounds, p_bounds) = PUMP_CASES[case]
     law = PumpMap(*params).peak_gain_db
-    got = find_optimal_pump(law, target, f_bounds, p_bounds)
-    want = scalar_ramp_search(law, target, f_bounds, p_bounds)
+    got = find_optimal_pump(law, target, f_bounds, p_bounds, refine_to_hz=refine_to_hz)
+    want = scalar_ramp_search(law, target, f_bounds, p_bounds, refine_to_hz=refine_to_hz)
     assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
     assert got.success == (case not in ("all-unstable", "out-of-reach"))
     if got.gain_db is not None:

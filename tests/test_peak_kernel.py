@@ -1,8 +1,8 @@
 """Bitwise regression test of io_dynamics.peak_gain_db.
 
-The library's kernel steps only the points whose result is not yet known
-and stops each point once it repeats a two-value cycle; its answer must
-still be, bit for bit, that of the frozen kernel in
+The library's kernel steps only stable points and stops once every point
+repeats a two-value cycle; its answer must still be, bit for bit, that of
+the frozen kernel in
 tests/reference/peak_gain_16.py, which runs all 16 Newton steps from both
 starts at every point.  Equal means np.array_equal with equal_nan and an
 equal np.signbit, on seeded grids, at the edges of the domain, on the
