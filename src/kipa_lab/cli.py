@@ -25,7 +25,6 @@ if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
 
 from . import config as cfgmod
 from .errors import ConfigError, DomainError, FitError, KipaLabError
-from .quantities import BOLTZMANN
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
 
 log = logging.getLogger("kipa_lab")
@@ -140,6 +139,8 @@ def cmd_gain(args) -> int:
     grid = c["grid"]
     center = cav.f_pump / 2.0 if grid["center_hz"] is None else grid["center_hz"]
     span = 20.0 * cav.kappa / (2.0 * math.pi) if grid["span_hz"] is None else grid["span_hz"]
+    if span <= 0.0:
+        raise DomainError(f"grid.span_hz must be positive, not {span:g}")
     n = grid["n_points"]
     results = {"stable": cav.is_stable, "peak_gain_db": None, "peak_f_hz": None, "gbp_hz": None}
     curve = None
@@ -220,9 +221,8 @@ def cmd_noise_fit(args) -> int:
     sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
     fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
-    y_model = sweep.x + fit.t_add + chain.t_bkg / (chain.g_hemt * chain.g)
-    scale = chain.g_tot * BOLTZMANN * chain.bandwidth
-    residuals = dict(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=sweep.y / scale - y_model)
+    residual_k = sweep.y / chain.watts_per_kelvin - chain.output_temperature(sweep.x, fit.t_add)
+    residuals = dict(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=residual_k)
     results = {"t_add_k": fit.t_add, "t_add_sigma_k": fit.t_add_sigma, "t_kipa_k": t_kipa, "slope": fit.slope}
     return _emit(args, cfg, results, residuals, truth=truth, sweep=sweep)
 

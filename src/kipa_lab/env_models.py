@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, ConfigWarning, DomainError, InversionError, PhysicsWarning
-from .fitkit import SweepRecord
+from .fitkit import SweepRecord, proportional_fit
 from .quantities import BOLTZMANN, E_CHARGE, HBAR, PLANCK, bisect
 
 #: BCS weak-coupling gap ratio, gap = 1.764 * k_B * T_C.
@@ -148,16 +148,10 @@ def fit_field_shift(
         raise ConfigError(f"unknown bc_criterion {bc_criterion!r}; known: {', '.join(sorted(BC_CRITERIA))}")
     if len(sweep) < 5:
         raise DomainError("need at least 5 field points for the quadratic fit")
-    w = sweep.weights
-    x2 = sweep.x**2
-    denom = float(np.sum(w * x2 * x2))
-    if denom == 0.0:
-        raise DomainError("all field values are zero; curvature undetermined")
-    c = -float(np.sum(w * x2 * sweep.y)) / denom
-    var_c = 1.0 / denom
-    resid = sweep.y + c * x2
-    dof = len(sweep) - 1
-    rchi2 = float(np.sum(w * resid**2)) / dof if dof > 0 else 0.0
+    try:
+        c, var_c, rchi2 = proportional_fit(-sweep.y, sweep.x**2, sweep.weights)
+    except DomainError:  # every B, or every w*B^4, is zero
+        raise DomainError("all field values are zero; curvature undetermined") from None
     if rchi2 > 10.0:
         warnings.warn(
             f"reduced chi^2 = {rchi2:.2f}: data deviate from the quadratic law",

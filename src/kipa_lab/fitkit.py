@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import finite
-from .errors import ConfigError, FitError, RankError
+from .errors import ConfigError, DomainError, FitError, RankError
 from .report import write_csv
 
 
@@ -107,57 +107,57 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
+def proportional_fit(y: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple:
+    """Weighted least squares of y = p*b through the origin, with weights w.
+
+    Returns (p, var_p, reduced_chi2): p = sum(w*b*y)/sum(w*b^2), its
+    variance 1/sum(w*b^2) with w taken at face value, and chi^2 over n - 1
+    degrees of freedom (0.0 when n = 1).  A zero sum(w*b^2), as when every
+    b is zero or w*b^2 underflows, raises DomainError.
+    """
+    wb = w * b
+    denom = float(np.sum(wb * b))
+    if denom == 0.0:
+        raise DomainError("sum(w*b^2) is zero: no point carries weight on the fitted parameter")
+    p = float(np.sum(wb * y)) / denom
+    resid = y - p * b
+    dof = y.size - 1
+    return p, 1.0 / denom, float(np.sum(w * resid**2)) / dof if dof > 0 else 0.0
+
+
 def linear_fit(data: SweepRecord, fixed_slope: Optional[float] = None) -> FitResult:
     """Weighted least-squares straight line y = a*x + b.
 
-    Returns params [a, b].  With ``fixed_slope`` only the intercept is fitted
-    and the slope rows of the covariance are zero.  Covariance is
-    (X^T W X)^-1 with W = 1/sigma^2 (unit weights when sigma_y is absent),
-    i.e. sigma_y is taken at face value, not rescaled by chi^2.
+    Returns params [a, b].  With ``fixed_slope`` only the intercept is fitted,
+    by proportional_fit of y - a*x on ones, and the slope rows of the
+    covariance are zero.  Covariance is (X^T W X)^-1 with W = 1/sigma^2
+    (unit weights when sigma_y is absent), i.e. sigma_y is taken at face
+    value, not rescaled by chi^2.
     """
     n = len(data)
     w = data.weights
     if fixed_slope is not None:
         if n < 1:
             raise FitError("intercept fit needs at least 1 point")
-        r = data.y - fixed_slope * data.x
-        sw = float(np.sum(w))
-        b = float(np.sum(w * r) / sw)
-        cov = np.zeros((2, 2))
-        cov[1, 1] = 1.0 / sw
-        resid = r - b
-        chi2 = float(np.sum(w * resid**2))
-        dof = n - 1
-        return FitResult(
-            params=np.array([fixed_slope, b]),
-            covariance=cov,
-            reduced_chi2=chi2 / dof if dof > 0 else 0.0,
-            n_iterations=1,
-            converged=True,
-        )
-
-    if n < 2:
-        raise FitError("line fit needs at least 2 points")
-    if np.ptp(data.x) == 0.0:
-        raise RankError("all x values identical; slope is undetermined")
-    X = np.column_stack([data.x, np.ones(n)])
-    A = X.T @ (w[:, None] * X)
-    rhs = X.T @ (w * data.y)
-    try:
-        params = np.linalg.solve(A, rhs)
-        cov = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"normal equations singular: {exc}") from exc
-    resid = data.y - X @ params
-    chi2 = float(np.sum(w * resid**2))
-    dof = n - 2
-    return FitResult(
-        params=params,
-        covariance=cov,
-        reduced_chi2=chi2 / dof if dof > 0 else 0.0,
-        n_iterations=1,
-        converged=True,
-    )
+        b, var_b, rchi2 = proportional_fit(data.y - fixed_slope * data.x, np.ones(n), w)
+        params, cov = np.array([fixed_slope, b]), np.zeros((2, 2))
+        cov[1, 1] = var_b
+    else:
+        if n < 2:
+            raise FitError("line fit needs at least 2 points")
+        if np.ptp(data.x) == 0.0:
+            raise RankError("all x values identical; slope is undetermined")
+        X = np.column_stack([data.x, np.ones(n)])
+        A = X.T @ (w[:, None] * X)
+        rhs = X.T @ (w * data.y)
+        try:
+            params = np.linalg.solve(A, rhs)
+            cov = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise RankError(f"normal equations singular: {exc}") from exc
+        resid = data.y - X @ params
+        rchi2 = float(np.sum(w * resid**2)) / (n - 2) if n > 2 else 0.0
+    return FitResult(params=params, covariance=cov, reduced_chi2=rchi2, n_iterations=1, converged=True)
 
 
 # Levenberg-Marquardt settings, fixed for reproducibility.
@@ -261,6 +261,9 @@ def nlls_fit(
         cov = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise RankError(f"normal matrix singular at solution: {exc}") from exc
+    var = np.diag(cov)
+    if not np.all(np.isfinite(var) & (var > 0.0)):
+        raise RankError("normal matrix rank deficient at solution: a parameter variance is not finite and positive")
     dof = len(data) - p.size
     return FitResult(
         params=p,

@@ -538,62 +538,51 @@ def find_optimal_pump(
         raise DomainError(f"a search level would hold {n_level:.3g} pump points, more than {_MAX_GRID_POINTS:.0e}")
     p_grid = np.arange(p_lo, p_hi + 0.5 * p_step_db, p_step_db)
 
-    state = {"n": 0, "osc": False}
-
-    def scan(f_values):
-        # Candidate ordering: lowest power first, then highest achieved gain
-        # (at equal quantized power the gain peaks at the optimal frequency),
-        # then frequency for determinism.
+    f_values = np.linspace(f_lo, f_hi, n_f_coarse)
+    step = (f_hi - f_lo) / (n_f_coarse - 1)
+    n_eval, osc, best = 0, False, None
+    for level in range(_MAX_REFINEMENTS + 1):
         g = evaluator(f_values[:, None], p_grid[None, :], target_db)
         stop = ~np.isfinite(g) | (g >= target_db)
         stopped = stop.any(axis=1)
         last = np.where(stopped, stop.argmax(axis=1), p_grid.size - 1)
         g_last = g[np.arange(f_values.size), last]
-        state["n"] += int(last.sum()) + f_values.size
-        state["osc"] |= bool(np.any(stopped & ~np.isfinite(g_last)))
+        n_eval += int(last.sum()) + f_values.size
+        osc |= bool(np.any(stopped & ~np.isfinite(g_last)))
         hits = np.flatnonzero(stopped & np.isfinite(g_last))
-        return [(float(p_grid[last[j]]), -float(g_last[j]), float(f_values[j])) for j in hits], last
-
-    f_grid = np.linspace(f_lo, f_hi, n_f_coarse)
-    step = (f_hi - f_lo) / (n_f_coarse - 1)
-    candidates, last = scan(f_grid)
-    if not candidates:
-        # The best point is read from exact values: the first maximum in
-        # ramp order, as a point-by-point scan meets it.
-        g = evaluator(f_grid[:, None], p_grid[None, :], -math.inf)
-        seen = np.where((np.arange(p_grid.size) <= last[:, None]) & np.isfinite(g), g, -math.inf)
-        i_f, i_p = np.unravel_index(np.argmax(seen), seen.shape)
-        g_best, f_best, p_best = (None, None, None)
-        if seen[i_f, i_p] > -math.inf:
-            g_best, f_best, p_best = float(seen[i_f, i_p]), float(f_grid[i_f]), float(p_grid[i_p])
-        return PumpSearchResult(
-            success=False,
-            f_pump_hz=f_best,
-            p_pump_dbm=p_best,
-            gain_db=g_best,
-            self_oscillation=state["osc"],
-            n_evaluations=state["n"],
-            message="target gain not reached inside the search rectangle",
-        )
-    p_best, neg_g, f_best = min(candidates)
-    g_best = -neg_g
-    refinements = 0
-    while step > refine_to_hz and refinements < _MAX_REFINEMENTS:
-        lo = max(f_lo, f_best - step)
-        hi = min(f_hi, f_best + step)
+        if hits.size:
+            # Candidate ordering: lowest power first, then highest achieved
+            # gain (at equal quantized power the gain peaks at the optimal
+            # frequency), then frequency for determinism.
+            best = min((float(p_grid[last[j]]), -float(g_last[j]), float(f_values[j])) for j in hits)
+        elif best is None:
+            # The best point is read from exact values: the first maximum in
+            # ramp order, as a point-by-point scan meets it.
+            g = evaluator(f_values[:, None], p_grid[None, :], -math.inf)
+            seen = np.where((np.arange(p_grid.size) <= last[:, None]) & np.isfinite(g), g, -math.inf)
+            i_f, i_p = np.unravel_index(np.argmax(seen), seen.shape)
+            found = seen[i_f, i_p] > -math.inf
+            return PumpSearchResult(
+                success=False,
+                f_pump_hz=float(f_values[i_f]) if found else None,
+                p_pump_dbm=float(p_grid[i_p]) if found else None,
+                gain_db=float(seen[i_f, i_p]) if found else None,
+                self_oscillation=osc,
+                n_evaluations=n_eval,
+                message="target gain not reached inside the search rectangle",
+            )
+        if step <= refine_to_hz or level == _MAX_REFINEMENTS:
+            break
+        lo, hi = max(f_lo, best[2] - step), min(f_hi, best[2] + step)
         step /= 10.0
-        fine = np.arange(lo, hi + 0.5 * step, step)
-        found, _ = scan(fine)
-        if found:
-            p_best, neg_g, f_best = min(found)
-            g_best = -neg_g
-        refinements += 1
+        f_values = np.arange(lo, hi + 0.5 * step, step)
+    p_best, neg_g, f_best = best
     return PumpSearchResult(
         success=True,
         f_pump_hz=f_best,
         p_pump_dbm=p_best,
-        gain_db=g_best,
-        self_oscillation=state["osc"],
-        n_evaluations=state["n"],
+        gain_db=-neg_g,
+        self_oscillation=osc,
+        n_evaluations=n_eval,
         message=f"refined to {step:.3g} Hz frequency resolution",
     )

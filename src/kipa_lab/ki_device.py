@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PhysicsWarning
+from .errors import DomainError, PhysicsWarning, RankError
 from .fitkit import FitResult, SweepRecord, nlls_fit
 from .quantities import HBAR
 
@@ -194,6 +194,8 @@ def fit_clem_tuning(data: SweepRecord, f_r0: float, alpha: float) -> FitResult:
     [i_star, clem_exponent].
     """
     i_max = float(np.max(np.abs(data.x)))
+    if i_max == 0.0:
+        raise RankError("all bias currents are zero; I* and the Clem exponent are undetermined")
     p0 = [3.0 * i_max, CLEM_EXPONENT_COLD]
     bounds = (np.array([i_max * 1.0000001, 0.1]), np.array([i_max * 1e3, 10.0]))
     return nlls_fit(lambda i, p: clem_frequency(i, f_r0, alpha, p[0], p[1]), data, p0, bounds=bounds)

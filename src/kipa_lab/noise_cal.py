@@ -115,6 +115,22 @@ class ReceiverChain:
             return self.eta_explicit
         return self.eta_e * self.eta_il
 
+    # The chain's output equation P_out = g_tot*k_B*B*(T_in + T_noise + T_b),
+    # T_noise being T_add with the device in line (T_b = T_bkg/(g_hemt*g)) or
+    # T_HEMT with a 50-ohm through in its place (T_b = T_bkg/g_hemt).
+    @property
+    def watts_per_kelvin(self) -> float:
+        return self.g_tot * BOLTZMANN * self.bandwidth
+
+    def t_backend(self, through: bool = False) -> float:
+        return self.t_bkg / self.g_hemt if through else self.t_bkg / (self.g_hemt * self.g)
+
+    def output_temperature(self, t_in, t_noise, through: bool = False):
+        return t_in + t_noise + self.t_backend(through)
+
+    def output_power(self, t_in, t_noise, through: bool = False):
+        return self.watts_per_kelvin * self.output_temperature(t_in, t_noise, through)
+
 
 @dataclass(frozen=True)
 class VtsSetpoint:
@@ -162,6 +178,16 @@ def input_noise(t_out: float, chain: ReceiverChain) -> float:
     return chain.eta * t_out
 
 
+def _fit_output_referred(t_in, sweep: SweepRecord, chain: ReceiverChain, free_slope: bool, through: bool):
+    """(data, fit, T_noise): P_out and sigma_y over g_tot*k_B*B fitted against
+    t_in, slope pinned to one unless free_slope; T_noise = intercept - T_b."""
+    scale = chain.watts_per_kelvin
+    sigma = None if sweep.sigma_y is None else sweep.sigma_y / scale
+    data = SweepRecord(t_in, sweep.y / scale, sigma)
+    res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
+    return data, res, float(res.params[1]) - chain.t_backend(through)
+
+
 class AddedNoiseFit(NamedTuple):
     t_add: float  # K
     t_add_sigma: float  # K
@@ -173,8 +199,7 @@ def fit_added_noise(sweep: SweepRecord, chain: ReceiverChain, free_slope: bool =
     """Extract the front-end added noise from a (T_in, P_out) sweep.
 
     The output power in watts is converted to output-referred kelvin through
-    g_tot*k_B*B and fitted as
-    P_out/(g_tot k_B B) = T_in + T_add + T_bkg/(g_hemt*g)
+    g_tot*k_B*B and fitted to ReceiverChain.output_temperature(T_in, T_add)
     with the slope pinned to one (free_slope=True releases it as a
     gain-calibration diagnostic).  Inverse-variance weights apply when the
     sweep carries sigma_y.
@@ -184,24 +209,14 @@ def fit_added_noise(sweep: SweepRecord, chain: ReceiverChain, free_slope: bool =
     insertion loss, which shifts the intercept by (weighted mean of T_in)
     times the loss-ratio uncertainty.
     """
-    scale = chain.g_tot * BOLTZMANN * chain.bandwidth
-    sigma = None if sweep.sigma_y is None else sweep.sigma_y / scale
-    data = SweepRecord(sweep.x, sweep.y / scale, sigma)
-    res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
-    backend = chain.t_bkg / (chain.g_hemt * chain.g)
-    t_add = float(res.params[1]) - backend
+    data, res, t_add = _fit_output_referred(sweep.x, sweep, chain, free_slope, through=False)
     sigma_total = float(res.stderr[1])
     if chain.il_asymmetry_db > 0.0:
         w = data.weights
         t_in_mean = float(np.sum(w * data.x) / np.sum(w))
         sigma_asym = t_in_mean * (10.0 ** (chain.il_asymmetry_db / 10.0) - 1.0)
         sigma_total = math.hypot(sigma_total, sigma_asym)
-    return AddedNoiseFit(
-        t_add=t_add,
-        t_add_sigma=sigma_total,
-        slope=float(res.params[0]),
-        fit=res,
-    )
+    return AddedNoiseFit(t_add=t_add, t_add_sigma=sigma_total, slope=float(res.params[0]), fit=res)
 
 
 def kipa_noise_from_added(t_add: float, g: float, t_hemt: float) -> float:
@@ -246,17 +261,8 @@ def fit_hemt_noise(
     P_out/(g_tot k_B B) = T_in^(H) + T_HEMT + T_bkg/g_hemt.
     """
     t_in = hemt_input_noise(sweep.x, f_signal, chain)
-    scale = chain.g_tot * BOLTZMANN * chain.bandwidth
-    sigma = None if sweep.sigma_y is None else sweep.sigma_y / scale
-    data = SweepRecord(t_in, sweep.y / scale, sigma)
-    res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
-    t_hemt = float(res.params[1]) - chain.t_bkg / chain.g_hemt
-    return HemtNoiseFit(
-        t_hemt=t_hemt,
-        t_hemt_sigma=float(res.stderr[1]),
-        slope=float(res.params[0]),
-        fit=res,
-    )
+    _, res, t_hemt = _fit_output_referred(t_in, sweep, chain, free_slope, through=True)
+    return HemtNoiseFit(t_hemt=t_hemt, t_hemt_sigma=float(res.stderr[1]), slope=float(res.params[0]), fit=res)
 
 
 def propagate_noise(n_in: float, element: ChainElement, f_hz: float) -> float:
@@ -286,6 +292,13 @@ def propagate_chain(n_in: float, elements: List[ChainElement], f_hz: float) -> L
     return out
 
 
+def _warm_attenuator(chain: ReceiverChain) -> tuple:
+    """(eta*g, bracket) of the warm-attenuator model, with the bracket
+    1 - eta_e + eta_e^2*(1 - eta_il) + eta^2*g."""
+    eta = chain.eta
+    return eta * chain.g, 1.0 - chain.eta_e + chain.eta_e**2 * (1.0 - chain.eta_il) + eta**2 * chain.g
+
+
 def high_temp_added_noise(chain: ReceiverChain, t_att: float, t_kipa: float) -> float:
     """Added noise with a warm attenuator thermalized at t_att:
 
@@ -297,9 +310,7 @@ def high_temp_added_noise(chain: ReceiverChain, t_att: float, t_kipa: float) -> 
     """
     if t_att < 0.0:
         raise DomainError("attenuator temperature must be >= 0")
-    eta = chain.eta
-    eg = eta * chain.g
-    bracket = 1.0 - chain.eta_e + chain.eta_e**2 * (1.0 - chain.eta_il) + eta**2 * chain.g
+    eg, bracket = _warm_attenuator(chain)
     return chain.t_hemt / eg + (t_att / eg) * bracket + t_kipa
 
 
@@ -315,10 +326,8 @@ def fit_kipa_noise_vs_attenuator(sweep: SweepRecord, chain: ReceiverChain) -> Ki
     The model is linear in T_att with a slope fixed by the chain, so the
     device noise is the intercept minus T_HEMT/(eta*g).
     """
-    eta = chain.eta
-    eg = eta * chain.g
-    slope = (1.0 - chain.eta_e + chain.eta_e**2 * (1.0 - chain.eta_il) + eta**2 * chain.g) / eg
-    res = linear_fit(sweep, fixed_slope=slope)
+    eg, bracket = _warm_attenuator(chain)
+    res = linear_fit(sweep, fixed_slope=bracket / eg)
     t_kipa = float(res.params[1]) - chain.t_hemt / eg
     return KipaNoiseVsAttenuatorFit(t_kipa=t_kipa, t_kipa_sigma=float(res.stderr[1]), fit=res)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 from .fitkit import SweepRecord
-from .quantities import BOLTZMANN
 
 
 def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
@@ -94,7 +93,7 @@ def noise_sweep(
     t_vts = vts_setpoint_ladder() if t_vts_values is None else t_vts_values
     sp = VtsSetpoint(np.asarray(t_vts, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
     xs = input_noise(vts_output_noise(sp, chain.g), chain)
-    ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (xs + t_add + chain.t_bkg / (chain.g_hemt * chain.g))
+    ys = chain.output_power(xs, t_add)
     return _with_noise(xs, ys, noise_frac * ys if noise_frac > 0 else None, rng), {"t_add_k": t_add, "t_kipa_k": t_kipa}
 
 
@@ -109,7 +108,7 @@ def hemt_sweep(
     from .noise_cal import hemt_input_noise
     xs = np.asarray(vts_setpoint_ladder(0.1, 3.0) if t_vts_values is None else t_vts_values, dtype=float)
     t_in = hemt_input_noise(xs, f_signal_hz, chain)
-    ys = chain.g_tot * BOLTZMANN * chain.bandwidth * (t_in + chain.t_hemt + chain.t_bkg / chain.g_hemt)
+    ys = chain.output_power(t_in, chain.t_hemt, through=True)
     return _with_noise(xs, ys, noise_frac * ys if noise_frac > 0 else None, rng), {"t_hemt_k": chain.t_hemt}
 
 
@@ -129,6 +128,8 @@ def compression_sweep(
     """
     if depth_db <= 1.0:
         raise DomainError("depth_db must exceed 1 dB for a 1-dB point to exist")
+    if softness_db <= 0.0:
+        raise DomainError(f"softness_db must be positive, not {softness_db:g}")
     g = small_signal_gain_db - depth_db / (1.0 + np.exp(-(p_grid_dbm - p_mid_dbm) / softness_db))
     sweep = _with_noise(p_grid_dbm, g, np.full(p_grid_dbm.size, noise_db) if noise_db > 0 else None, rng)
     p_1db = p_mid_dbm - softness_db * math.log(depth_db - 1.0)

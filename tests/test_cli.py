@@ -630,3 +630,41 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"configuration error: cannot write --out {taken}: "), err
     assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "config, value, path, argv",
+    [
+        ("gain.json", -4e8, ("grid", "span_hz"), ["gain"]),
+        ("gain.json", -4e8, ("grid", "span_hz"), ["gain", "--synthetic"]),
+        ("gain.json", 0.0, ("grid", "span_hz"), ["gain"]),
+        ("compression.json", 0.0, ("synthetic", "softness_db"), ["compression", "--synthetic"]),
+        ("compression.json", -1.5, ("synthetic", "softness_db"), ["compression", "--synthetic"]),
+    ],
+    ids=["gain-negative-span", "gain-synthetic-negative-span", "gain-zero-span", "compression-zero-softness",
+         "compression-negative-softness"],
+)
+def test_non_positive_width_exits_4_naming_the_key(tmp_path, capsys, config, value, path, argv):
+    # Rejected before any number is computed: no numpy warning, no result from a reversed grid or curve.
+    cfg = tmp_path / config
+    cfg.write_text(_edited(config, value, *path))
+    code = cli.main([*argv, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:") and path[-1] in lines[0], err
+
+
+@pytest.mark.parametrize("n_points, message", [(1, "all bias currents are zero"), (2, "not finite and positive")],
+                         ids=["one-point", "two-points"])
+def test_tune_synthetic_underdetermined_exits_3(tmp_path, capsys, n_points, message):
+    # Two fitted parameters (I*, n): one point, or two of which one is at zero bias, cannot fix both.
+    cfg = tmp_path / "device.json"
+    cfg.write_text(_edited("device.json", {"n_points": n_points}, "synthetic"))
+    code = cli.main(["tune", "--config", str(cfg), "--synthetic"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fit error:") and message in lines[0], err

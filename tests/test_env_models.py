@@ -115,6 +115,14 @@ def test_fit_field_shift_zero_data():
     assert fit.theta_b == 0.0
 
 
+@pytest.mark.parametrize("b_max", [0.0, 1e-90], ids=["zero", "b4-underflows"])
+def test_fit_field_shift_undetermined_curvature(b_max):
+    # B^4 underflows to zero long before B does: the solve's own sum decides.
+    sweep = SweepRecord(np.linspace(-b_max, b_max, 7), np.full(7, -1e-6))
+    with pytest.raises(DomainError, match="^all field values are zero; curvature undetermined$"):
+        fit_field_shift(sweep, reference_field_model())
+
+
 def test_fit_field_shift_poor_fit_warns():
     model = reference_field_model()
     b = np.linspace(0.0, 6.0, 9)

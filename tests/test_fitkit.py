@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import curve_fit
 
 from kipa_lab import fitkit, synthetic
-from kipa_lab.errors import FitError, RankError
-from kipa_lab.fitkit import SweepRecord, _numeric_jacobian, linear_fit, nlls_fit
+from kipa_lab.errors import DomainError, FitError, RankError
+from kipa_lab.fitkit import SweepRecord, _numeric_jacobian, linear_fit, nlls_fit, proportional_fit
 
 
 def lorentzian_mag(x, p):
@@ -44,6 +44,43 @@ def test_linear_fit_weighted_covariance_analytic():
     W = np.diag(1.0 / sigma**2)
     cov = np.linalg.inv(X.T @ W @ X)
     assert res2.covariance == pytest.approx(cov, rel=1e-10)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("column", [np.ones_like, np.square], ids=["intercept", "b-squared"])
+def test_proportional_fit_matches_curve_fit(column, weighted):
+    # Oracle: scipy's curve_fit of y = p*b with the exact Jacobian and sigma
+    # at face value; chi^2 is recomputed from its parameter.
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.2, 6.0, 17)
+    b = column(x)
+    y = 0.37 * b + rng.normal(0.0, 0.05, x.size)
+    sigma = 10.0 ** rng.uniform(-2.0, -0.5, x.size) if weighted else None
+    p, var, rchi2 = proportional_fit(y, b, np.ones_like(x) if sigma is None else 1.0 / sigma**2)
+    popt, pcov = curve_fit(lambda xx, q: q * column(xx), x, y, p0=[1.0], sigma=sigma, absolute_sigma=True,
+                           jac=lambda xx, q: column(xx)[:, None])
+    assert p == pytest.approx(popt[0], rel=1e-12)
+    assert np.sqrt(var) == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-12)
+    z = (y - popt[0] * b) / (1.0 if sigma is None else sigma)
+    assert rchi2 == pytest.approx(np.sum(z**2) / (x.size - 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_fixed_slope_intercept_matches_polyfit(weighted):
+    # Oracle: numpy.polyfit of degree 0 on y - a*x, unscaled covariance.
+    rng = np.random.default_rng(12)
+    x = np.linspace(0.0, 2.0, 9)
+    sigma = 10.0 ** rng.uniform(-2.0, 0.0, x.size) if weighted else None
+    data = SweepRecord(x, 1.0 * x + 0.286 + rng.normal(0.0, 0.01, x.size), sigma)
+    res = linear_fit(data, fixed_slope=1.0)
+    c, cov = np.polyfit(x, data.y - x, 0, w=None if sigma is None else 1.0 / sigma, cov="unscaled")
+    assert res.params[1] == pytest.approx(c[0], rel=1e-12)
+    assert res.stderr[1] == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
+
+
+def test_proportional_fit_without_weight_raises():
+    with pytest.raises(DomainError, match="no point carries weight"):
+        proportional_fit(np.ones(3), np.full(3, 1e-200), np.ones(3))
 
 
 def test_linear_fit_degenerate_x_raises():
@@ -153,6 +190,22 @@ def test_zero_jacobian_column_raises_rank_error():
 
     with pytest.raises(RankError):
         nlls_fit(model, SweepRecord(np.arange(5.0), 2.0 * np.arange(5.0)), [1.0, 1.0])
+
+
+def test_rank_deficient_fit_raises_rank_error():
+    # Two planted currents do not pin (I*, n): the normal matrix inverts to a
+    # negative variance, which must not be reported as a zero stderr.
+    from kipa_lab.ki_device import ResonatorParams, fit_clem_tuning
+    res = ResonatorParams(l_k0=7.4e-8, l_t=8.24e-8, i_star=3.45e-4, i_sw=1.82e-4, clem_exponent=2.21, f_r0=5.75e9, alpha=0.9)
+    sweep, _ = synthetic.clem_tuning_sweep(res, np.linspace(0.0, 0.9 * res.i_sw, 2), 1e-4, np.random.default_rng(0))
+    with pytest.raises(RankError, match="not finite and positive"):
+        fit_clem_tuning(sweep, res.f_r0, res.alpha)
+
+
+def test_clem_fit_rejects_all_zero_currents():
+    from kipa_lab.ki_device import fit_clem_tuning
+    with pytest.raises(RankError, match="all bias currents are zero"):
+        fit_clem_tuning(SweepRecord(np.zeros(3), np.full(3, 5.75e9)), 5.75e9, 0.9)
 
 
 def test_nonconvergence_is_flagged_not_raised(monkeypatch):
