@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import math
 import os
 import sys
@@ -27,7 +26,8 @@ from . import config as cfgmod
 from .errors import ConfigError, DomainError, FitError, KipaLabError
 from .report import bundle_csv, bundle_json, make_bundle, write_bundle
 
-log = logging.getLogger("kipa_lab")
+# logging's level names, so that a run which logs nothing never imports logging
+_LOG_LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARNING": 30, "WARN": 30, "INFO": 20, "DEBUG": 10, "NOTSET": 0}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,6 +35,20 @@ EXIT_FIT = 3
 EXIT_DOMAIN = 4
 
 _parser = None  # the parser of this process, built by the first main() call
+
+
+def _log(level: str, msg: str, *args) -> None:
+    """Send a "kipa_lab" record at a level of _LOG_LEVELS.  logging is
+    imported, and set up by basicConfig (a no-op once the root logger has a
+    handler), only when the record passes KIPA_LAB_LOG (a level name; WARNING
+    by default or when unknown) or when the process has imported logging
+    already, so that an embedding program's handlers decide."""
+    threshold = _LOG_LEVELS.get(os.environ.get("KIPA_LAB_LOG", "WARNING").upper(), 30)
+    if _LOG_LEVELS[level] < threshold and "logging" not in sys.modules:
+        return
+    import logging
+    logging.basicConfig(level=threshold, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("kipa_lab").log(_LOG_LEVELS[level], msg, *args)
 
 
 def _load_config(args):
@@ -72,17 +86,16 @@ def _write(args, bundle: dict, curve=None, sweep=None) -> str:
         except OSError as exc:
             raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
         for p in paths:
-            log.info("wrote %s", p)
+            _log("INFO", "wrote %s", p)
     return text if csv_text is None else csv_text
 
 
 def _sweep(args, c: dict, plant):
-    """(sweep, truth): planted by ``plant(synthetic_block, rng)`` under
+    """(sweep, truth): planted by ``plant(synthetic_block, seed)`` under
     --synthetic, else read from the config's sweep_file (relative to the
     config file) with no truth."""
     if args.synthetic:
-        from numpy.random import default_rng
-        return plant(c["synthetic"], default_rng(args.seed))
+        return plant(c["synthetic"], args.seed)
     if c["sweep_file"] is None:
         raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
     return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
@@ -104,16 +117,17 @@ def cmd_design(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    import numpy as np
-    from . import ki_device, synthetic
+    from . import ki_device
     cfg, c = _load_config(args)
     res = cfgmod.parse_device(c["device"]).resonator
     results: dict = {}
     residuals = None
     if args.synthetic:
+        import numpy as np
+        from . import synthetic
         syn = c["synthetic"]
         currents = np.linspace(0.0, 0.9 * res.i_sw, syn["n_points"])
-        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn["noise_frac"], np.random.default_rng(args.seed))
+        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn["noise_frac"], args.seed)
         fit = ki_device.fit_clem_tuning(sweep, res.f_r0, res.alpha)
         model_f = ki_device.clem_frequency(sweep.x, res.f_r0, res.alpha, *fit.params)
         residuals = dict(x=sweep.x, y=sweep.y, model=model_f, residual=sweep.y - model_f)
@@ -132,8 +146,7 @@ def cmd_tune(args) -> int:
 
 def cmd_gain(args) -> int:
     import numpy as np
-    from . import io_dynamics, synthetic
-    from .fitkit import nlls_fit
+    from . import io_dynamics
     cfg, c = _load_config(args)
     cav = cfgmod.parse_cavity(c["cavity"])
     grid = c["grid"]
@@ -160,12 +173,14 @@ def cmd_gain(args) -> int:
         results["status"] = "no steady state: |xi|^2 >= kappa_bar^2 + Delta^2, so the gain has no peak or bandwidth"
     residuals = None
     if args.synthetic:
+        from . import synthetic
+        from .fitkit import nlls_fit
         kappa_hz = cav.kappa / (2.0 * math.pi)
         gamma_hz = cav.gamma / (2.0 * math.pi)
         delta_hz = cav.delta / (2.0 * math.pi)
         xi_frac = abs(cav.xi) / (2.0 * math.pi) / (kappa_hz + gamma_hz / 2.0)
         sweep, truth = synthetic.gain_sweep(
-            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, c["synthetic"]["noise_db"], np.random.default_rng(args.seed)
+            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, c["synthetic"]["noise_db"], args.seed
         )
         p0 = [kappa_hz * 1.05, gamma_hz + 0.01 * kappa_hz, delta_hz + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
         fit = nlls_fit(lambda x, p: synthetic.gain_db_model(x, p, cav.f_pump), sweep, p0)
@@ -195,7 +210,7 @@ def cmd_pump_search(args) -> int:
     result = io_dynamics.find_optimal_pump(law.peak_gain_db, **search)
     code = _emit(args, cfg, dataclasses.asdict(result))
     if not result.success:
-        log.warning("pump search failed: %s", result.message)
+        _log("WARNING", "pump search failed: %s", result.message)
     return code
 
 
@@ -393,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     global _parser
-    level = os.environ.get("KIPA_LAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)

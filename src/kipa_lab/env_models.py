@@ -20,7 +20,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, ConfigWarning, DomainError, InversionError, PhysicsWarning
-from .fitkit import SweepRecord, proportional_fit
 from .quantities import BOLTZMANN, E_CHARGE, HBAR, PLANCK, bisect
 
 #: BCS weak-coupling gap ratio, gap = 1.764 * k_B * T_C.
@@ -148,6 +147,7 @@ def fit_field_shift(
         raise ConfigError(f"unknown bc_criterion {bc_criterion!r}; known: {', '.join(sorted(BC_CRITERIA))}")
     if len(sweep) < 5:
         raise DomainError("need at least 5 field points for the quadratic fit")
+    from .fitkit import proportional_fit
     try:
         c, var_c, rchi2 = proportional_fit(-sweep.y, sweep.x**2, sweep.weights)
     except DomainError:  # every B, or every w*B^4, is zero

@@ -51,7 +51,8 @@ class SweepRecord:
     def weights(self) -> np.ndarray:
         if self.sigma_y is None:
             return np.ones_like(self.x)
-        return 1.0 / self.sigma_y**2
+        with np.errstate(over="ignore"):  # a sigma_y above ~1.3e154 weighs 0
+            return 1.0 / self.sigma_y**2
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

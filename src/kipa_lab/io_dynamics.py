@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ExtractionError, SingularityError
-from .fitkit import SweepRecord
 from .quantities import VACUUM_VARIANCE, n_kappa2_term  # noqa: F401 - n_kappa2_term is re-exported
 from .report import write_csv
 

@@ -2,7 +2,8 @@
 
 Covers the current dependence of the kinetic inductance (Clem relation),
 frequency tuning with dc bias, the self-Kerr strength and the three-wave
-mixing pump strength produced by combined dc and microwave currents.
+mixing pump strength produced by combined dc and microwave currents.  The
+tuning law takes a Python number without numpy; arrays and the fit load it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, PhysicsWarning, RankError
-from .fitkit import FitResult, SweepRecord, nlls_fit
 from .quantities import HBAR
 
 #: Clem exponent measured on high-quality films well below T_C (T/T_C < 0.1).
@@ -104,7 +102,7 @@ def clem_ratio(current, i_star: float, n: float):
     Even in I, equal to 1 at zero current, divergent as |I| -> I*.  Accepts
     scalars or arrays.
     """
-    return (1.0 - (np.abs(current) / i_star) ** n) ** (-1.0 / n)
+    return (1.0 - (abs(current) / i_star) ** n) ** (-1.0 / n)
 
 
 def clem_frequency(current, f_r0: float, alpha: float, i_star: float, n: float):
@@ -117,7 +115,12 @@ def clem_frequency(current, f_r0: float, alpha: float, i_star: float, n: float):
 
 
 def _check_below_critical(current, res: ResonatorParams) -> None:
-    if np.any(np.abs(np.asarray(current, dtype=float)) >= res.i_star):
+    if isinstance(current, (int, float)):
+        over = abs(current) >= res.i_star
+    else:
+        import numpy as np
+        over = np.any(np.abs(np.asarray(current, dtype=float)) >= res.i_star)
+    if over:
         raise DomainError(
             f"kinetic inductance diverges at the critical current I* = {res.i_star:.4e} A"
         )
@@ -125,6 +128,7 @@ def _check_below_critical(current, res: ResonatorParams) -> None:
 
 def kinetic_inductance_ratio(current: float, res: ResonatorParams):
     """Clem ratio L_k(I) / L_k(0) of the resonator; scalars or arrays."""
+    import numpy as np
     _check_below_critical(current, res)
     out = clem_ratio(np.asarray(current, dtype=float), res.i_star, res.clem_exponent)
     return float(out) if np.isscalar(current) else out
@@ -135,7 +139,11 @@ def resonance_vs_bias(i_dc, res: ResonatorParams):
     (the Clem tuning law)."""
     if res.f_r0 <= 0.0:
         raise DomainError("resonator f_r0 must be set for frequency tuning")
-    _check_switching(np.max(np.abs(np.asarray(i_dc))), res)
+    if isinstance(i_dc, (int, float)):
+        _check_switching(i_dc, res)
+    else:
+        import numpy as np
+        _check_switching(np.max(np.abs(np.asarray(i_dc))), res)
     _check_below_critical(i_dc, res)
     return clem_frequency(i_dc, res.f_r0, res.alpha, res.i_star, res.clem_exponent)
 
@@ -193,6 +201,8 @@ def fit_clem_tuning(data: SweepRecord, f_r0: float, alpha: float) -> FitResult:
     the cold-film exponent.  Returns a FitResult with params
     [i_star, clem_exponent].
     """
+    import numpy as np
+    from .fitkit import nlls_fit
     i_max = float(np.max(np.abs(data.x)))
     if i_max == 0.0:
         raise RankError("all bias currents are zero; I* and the Clem exponent are undetermined")

@@ -6,7 +6,8 @@ losses to the amplifier input, the unit-slope linear fit that extracts the
 added noise, the 50-ohm-through HEMT calibration, photon-number propagation
 through lossy elements at finite temperature, the warm-attenuator correction
 for high-temperature operation, and the radiative-cooling occupation of the
-resonator.
+resonator.  numpy and the fit engine load in the functions that use them,
+so photon-number propagation runs without either.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
-import numpy as np
-
 from .errors import ConfigWarning, DomainError, PhysicsWarning
-from .fitkit import FitResult, SweepRecord, linear_fit
 from .quantities import BOLTZMANN, PLANCK, bose_einstein_occupation
 
 _ETA_MISMATCH_WARN_DB = 0.05
@@ -144,6 +142,7 @@ class VtsSetpoint:
     g_conv: float
 
     def __post_init__(self):
+        import numpy as np
         if np.any(np.asarray(self.t_vts) <= 0.0):
             raise DomainError("source temperature must be positive")
         if self.g_conv < 0.0:
@@ -154,6 +153,7 @@ def _half_quantum_coth(f_hz: float, t_k):
     """(h f / 2 k_B) * coth(h f / 2 k_B T), the quantum Johnson-Nyquist
     temperature of a matched source at a temperature or an array of them;
     equals hf/2k_B at T = 0, where x/T is inf and tanh(inf) = 1."""
+    import numpy as np
     x = PLANCK * f_hz / (2.0 * BOLTZMANN)
     with np.errstate(divide="ignore"):
         return x / np.tanh(x / np.asarray(t_k, dtype=float))
@@ -181,6 +181,7 @@ def input_noise(t_out: float, chain: ReceiverChain) -> float:
 def _fit_output_referred(t_in, sweep: SweepRecord, chain: ReceiverChain, free_slope: bool, through: bool):
     """(data, fit, T_noise): P_out and sigma_y over g_tot*k_B*B fitted against
     t_in, slope pinned to one unless free_slope; T_noise = intercept - T_b."""
+    from .fitkit import SweepRecord, linear_fit
     scale = chain.watts_per_kelvin
     sigma = None if sweep.sigma_y is None else sweep.sigma_y / scale
     data = SweepRecord(t_in, sweep.y / scale, sigma)
@@ -212,6 +213,7 @@ def fit_added_noise(sweep: SweepRecord, chain: ReceiverChain, free_slope: bool =
     data, res, t_add = _fit_output_referred(sweep.x, sweep, chain, free_slope, through=False)
     sigma_total = float(res.stderr[1])
     if chain.il_asymmetry_db > 0.0:
+        import numpy as np
         w = data.weights
         t_in_mean = float(np.sum(w * data.x) / np.sum(w))
         sigma_asym = t_in_mean * (10.0 ** (chain.il_asymmetry_db / 10.0) - 1.0)
@@ -326,6 +328,7 @@ def fit_kipa_noise_vs_attenuator(sweep: SweepRecord, chain: ReceiverChain) -> Ki
     The model is linear in T_att with a slope fixed by the chain, so the
     device noise is the intercept minus T_HEMT/(eta*g).
     """
+    from .fitkit import linear_fit
     eg, bracket = _warm_attenuator(chain)
     res = linear_fit(sweep, fixed_slope=bracket / eg)
     t_kipa = float(res.params[1]) - chain.t_hemt / eg

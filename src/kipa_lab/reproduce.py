@@ -100,14 +100,13 @@ def _gx() -> float:
 def _noise_fit() -> float:
     chain = reference_chain()
     sweep, _ = synthetic.noise_sweep(chain, REFERENCE_T_KIPA, REFERENCE_F_SIGNAL, REFERENCE_F_SIGNAL,
-                                     synthetic.vts_setpoint_ladder(), 0.0, np.random.default_rng(0))
+                                     synthetic.vts_setpoint_ladder(), 0.0, 0)
     return noise_cal.kipa_noise_from_added(noise_cal.fit_added_noise(sweep, chain).t_add, chain.g, chain.t_hemt)
 
 
 def _hemt_fit() -> float:
     chain = reference_chain()
-    sweep, _ = synthetic.hemt_sweep(chain, REFERENCE_F_SIGNAL, synthetic.vts_setpoint_ladder(0.1, 3.0), 0.0,
-                                    np.random.default_rng(0))
+    sweep, _ = synthetic.hemt_sweep(chain, REFERENCE_F_SIGNAL, synthetic.vts_setpoint_ladder(0.1, 3.0), 0.0, 0)
     return noise_cal.fit_hemt_noise(sweep, chain, REFERENCE_F_SIGNAL).t_hemt
 
 
@@ -120,7 +119,7 @@ def _compression() -> float:
 
 def _theta() -> float:
     model = replace(_FIELD_MODEL, theta_b=_THETA)
-    sweep, _ = synthetic.field_shift_sweep(model, np.linspace(0.0, 6.0, 13), 0.0, np.random.default_rng(0))
+    sweep, _ = synthetic.field_shift_sweep(model, np.linspace(0.0, 6.0, 13), 0.0, 0)
     return env_models.fit_field_shift(sweep, model).theta_b
 
 

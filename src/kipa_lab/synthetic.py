@@ -1,9 +1,11 @@
 """Seeded synthetic-data generators for plant-and-recover workflows.
 
-Every generator takes a numpy Generator (PCG64 recommended; the CLI builds
-one from --seed) so identical seeds give bit-identical datasets within one
-build.  Returned truth dictionaries carry the planted parameters.  Each
-generator imports the law it plants when it runs.
+Every generator takes ``rng``, a numpy Generator or an int seed (the CLI
+passes --seed), and draws its noise once from ``np.random.default_rng(rng)``,
+which returns a Generator unchanged: a seed and the Generator made from it
+plant the same bits, and a noiseless plant loads no RNG.  Returned truth
+dictionaries carry the planted parameters.  Each generator imports the law
+it plants, and SweepRecord, when it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .fitkit import SweepRecord
 
 
 def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
@@ -23,13 +24,14 @@ def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
     return list(np.geomspace(lo_k, hi_k, 4))
 
 
-def _with_noise(x, y, sigma, rng: np.random.Generator) -> SweepRecord:
+def _with_noise(x, y, sigma, rng) -> SweepRecord:
     """(x, y) with Gaussian noise of standard deviation sigma (an array
-    shaped like y) added to y and recorded as sigma_y, or noiseless when
-    sigma is None."""
+    shaped like y) drawn from ``np.random.default_rng(rng)``, added to y
+    and recorded as sigma_y, or noiseless when sigma is None."""
+    from .fitkit import SweepRecord
     if sigma is None:
         return SweepRecord(x, y)
-    return SweepRecord(x, y + rng.normal(0.0, sigma), sigma)
+    return SweepRecord(x, y + np.random.default_rng(rng).normal(0.0, sigma), sigma)
 
 
 def gain_sweep(
@@ -41,7 +43,7 @@ def gain_sweep(
     span_hz: float,
     n_points: int,
     noise_db: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """Driven-cavity power-gain curve in dB with additive Gaussian noise."""
     from .io_dynamics import GainCurve, PumpedCavity
@@ -85,7 +87,7 @@ def noise_sweep(
     f_idler_hz: float,
     t_vts_values: Optional[Sequence[float]],
     noise_frac: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_in, P_out) thermometry sweep with the device in line; None sources are vts_setpoint_ladder()."""
     from .noise_cal import VtsSetpoint, input_noise, vts_output_noise
@@ -102,7 +104,7 @@ def hemt_sweep(
     f_signal_hz: float,
     t_vts_values: Optional[Sequence[float]],
     noise_frac: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_VTS, P_out) sweep with a 50-ohm through in place of the device; None sources are vts_setpoint_ladder(0.1, 3.0)."""
     from .noise_cal import hemt_input_noise
@@ -119,7 +121,7 @@ def compression_sweep(
     depth_db: float,
     p_grid_dbm: np.ndarray,
     noise_db: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """Logistic gain-compression curve with an analytic planted 1-dB point.
 
@@ -141,7 +143,7 @@ def clem_tuning_sweep(
     res: ResonatorParams,
     currents_a: np.ndarray,
     noise_frac: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(bias current, resonance frequency) sweep from the tuning law."""
     from .ki_device import resonance_vs_bias
@@ -154,7 +156,7 @@ def field_shift_sweep(
     model: FieldModel,
     b_values_t: np.ndarray,
     noise_abs: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(B, d_omega/omega) sweep from the quadratic field law."""
     from .env_models import field_frequency_shift

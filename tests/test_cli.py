@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from kipa_lab.fitkit import SweepRecord
 from kipa_lab.reproduce import FIXTURES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def run(capsys, *argv):
@@ -358,6 +363,17 @@ def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
     assert str(tmp_path / "bad.csv") in err[0] and f"line {line}" in err[0]
 
 
+def test_sweep_sigma_beyond_the_weight_range_exits_4_in_one_line(tmp_path, capsys):
+    # 1/sigma_y^2 is 0 above sigma_y ~ 1.3e154: the fit's one-line error, and no numpy overflow warning before it.
+    (tmp_path / "huge.csv").write_text("".join(f"{t},{1e-15 * (1.0 + t)},1e200\n" for t in (0.1, 0.3, 0.9, 2.0)))
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(_edited("chain.json", "huge.csv", "sweep_file"))
+    code = cli.main(["noise-fit", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("domain error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("text", ["", "x,y,sigma_y\n", "# no data\n"], ids=["empty", "header-only", "comment-only"])
 def test_empty_sweep_csv_exits_2(tmp_path, capsys, text):
     (tmp_path / "empty.csv").write_text(text)
@@ -552,6 +568,56 @@ def test_log_env_variable(monkeypatch, capsys):
     monkeypatch.setenv("KIPA_LAB_LOG", "DEBUG")
     code, _ = run(capsys, "design", "--config", str(CONFIGS / "sif.json"))
     assert code == 0
+
+
+def _fresh(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m kipa_lab.cli argv` in a new process, with KIPA_LAB_LOG only as given in env."""
+    base = {k: v for k, v in os.environ.items() if k != "KIPA_LAB_LOG"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kipa_lab.cli", *argv], env={**base, **env}, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("level", [None, "info", "DEBUG", "basic_format", "VERBOSE"])
+def test_log_level_prints_one_line_per_file_written(tmp_path, level):
+    # A name that is no logging level means WARNING; basic_format used to crash basicConfig.
+    out = tmp_path / "out"
+    proc = _fresh(["gain", "--config", str(CONFIGS / "gain.json"), "--out", str(out)], **({"KIPA_LAB_LOG": level} if level else {}))
+    assert proc.returncode == 0, proc.stderr
+    wrote = [f"INFO kipa_lab: wrote {p}" for p in sorted(out.iterdir())] if level in ("info", "DEBUG") else []
+    assert sorted(proc.stderr.splitlines()) == wrote
+
+
+PUMP_SEARCH_FAILED = "pump search failed: target gain not reached inside the search rectangle"
+
+
+def _unreachable_target(tmp_path) -> Path:
+    cfg = tmp_path / "pump_search.json"
+    cfg.write_text(_edited("pump_search.json", 60.0, "search", "target_db"))  # 50 dB is still reached
+    return cfg
+
+
+def test_failed_pump_search_warns_in_a_fresh_process(tmp_path):
+    proc = _fresh(["pump-search", "--config", str(_unreachable_target(tmp_path))])
+    assert proc.returncode == 0
+    assert proc.stderr == f"WARNING kipa_lab: {PUMP_SEARCH_FAILED}\n"
+
+
+def test_embedding_program_handler_receives_both_records(tmp_path, capsys):
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("kipa_lab")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        code = cli.main(["pump-search", "--config", str(_unreachable_target(tmp_path)), "--out", str(tmp_path / "out")])
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+    assert code == 0 and json.loads(capsys.readouterr().out)["results"]["success"] is False
+    assert [(r.levelname, r.getMessage()) for r in records] == [
+        ("INFO", f"wrote {tmp_path / 'out' / 'result.json'}"), ("WARNING", PUMP_SEARCH_FAILED)]
 
 
 @pytest.mark.parametrize(

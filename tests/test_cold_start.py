@@ -9,9 +9,13 @@ its environment as it was.  The thread count must never change output bytes,
 so a cold CLI run of every subcommand is checked against the golden digests.
 Each subcommand imports only the physics modules it runs: the same runs, made
 under ``-X importtime``, pin the kipa_lab modules each one loads, and whether it
-loads numpy at all; ``design`` and ``squeeze`` do not.
+loads numpy at all; ``design``, ``squeeze``, ``chain-propagate`` and plain
+``tune`` do not.  The same runs pin what a run loads only for the work that
+needs it: numpy's RNG only where it draws noise, the fit engine only where it
+fits, and ``logging`` only for a record that passes KIPA_LAB_LOG, unset here.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -30,8 +34,8 @@ LAWS = {"io_dynamics", "ki_device", "noise_cal", "env_models", "synthetic", "rep
 
 
 def _env(**extra) -> dict:
-    """This process's environment without the thread variables, kipa_lab's src first on the path, plus extra."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    """This process's environment without the thread variables or KIPA_LAB_LOG, kipa_lab's src first on the path, plus extra."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS and k != "KIPA_LAB_LOG"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return {**env, **extra}
 
@@ -103,13 +107,15 @@ def test_numpy_imported_first_leaves_environment_unchanged():
 # One run of each subcommand: (golden case, argv, the LAWS it loads, whether it loads numpy).
 COLD_CASES = [
     ("design", ["design", "--config", "configs/sif.json"], {"microwave_net"}, False),
-    ("tune", ["tune", "--config", "configs/device.json"], {"ki_device", "synthetic"}, True),
-    ("gain", ["gain", "--config", "configs/gain.json"], {"io_dynamics", "synthetic"}, True),
+    ("tune", ["tune", "--config", "configs/device.json"], {"ki_device"}, False),
+    ("tune --synthetic", ["tune", "--config", "configs/device.json", "--synthetic"], {"ki_device", "synthetic"}, True),
+    ("gain", ["gain", "--config", "configs/gain.json"], {"io_dynamics"}, True),
+    ("gain --synthetic", ["gain", "--config", "configs/gain.json", "--synthetic"], {"io_dynamics", "synthetic"}, True),
     ("pump-search", ["pump-search", "--config", "configs/pump_search.json"], {"io_dynamics", "synthetic"}, True),
     ("compression --synthetic", ["compression", "--config", "configs/compression.json", "--synthetic"], {"io_dynamics", "synthetic"}, True),
     ("noise-fit --synthetic", ["noise-fit", "--config", "configs/chain.json", "--synthetic"], {"noise_cal", "synthetic"}, True),
     ("hemt-fit --synthetic", ["hemt-fit", "--config", "configs/chain.json", "--synthetic"], {"noise_cal", "synthetic"}, True),
-    ("chain-propagate", ["chain-propagate", "--config", "configs/chain.json"], {"noise_cal"}, True),
+    ("chain-propagate", ["chain-propagate", "--config", "configs/chain.json"], {"noise_cal"}, False),
     ("squeeze --s", ["squeeze", "--config", "configs/budget.json"], {"squeeze"}, False),
     ("squeeze --gx-db", ["squeeze", "--config", "configs/budget.json", "--gx-db", "-2.95"], {"squeeze"}, False),
     ("field-shift --synthetic", ["field-shift", "--config", "configs/field.json", "--synthetic"], {"env_models", "synthetic"}, True),
@@ -117,11 +123,37 @@ COLD_CASES = [
     ("device-temp", ["device-temp", "--config", "configs/temp.json"], {"env_models"}, True),
     ("reproduce all", ["reproduce", "all"], LAWS, True),
 ]
+# The runs that draw noise (the other plants are noiseless), and the runs that fit.
+DRAWS = {"tune --synthetic", "gain --synthetic"}
+FITS = DRAWS | {"compression --synthetic", "noise-fit --synthetic", "hemt-fit --synthetic", "field-shift --synthetic", "reproduce all"}
+
+
+@functools.lru_cache(maxsize=None)
+def _cold(case: str) -> subprocess.CompletedProcess:
+    """The -X importtime run of a COLD_CASES case at --seed 0, made once per session."""
+    argv = next(argv for name, argv, *_ in COLD_CASES if name == case)
+    return _run("-X", "importtime", "-m", "kipa_lab.cli", *argv, "--seed", "0")
+
+
+def _cases_loading(module: str) -> set:
+    return {case for case, *_ in COLD_CASES if module in _imported(_cold(case).stderr)}
+
+
+def test_numpy_rng_loads_only_to_draw():
+    assert _cases_loading("numpy.random") == DRAWS
+
+
+def test_fit_engine_loads_only_to_fit():
+    assert _cases_loading("kipa_lab.fitkit") == FITS
+
+
+def test_default_log_level_loads_no_logging():
+    assert _cases_loading("logging") == set()
 
 
 @pytest.mark.parametrize("case, argv, laws, numpy", COLD_CASES, ids=[c[0].replace(" --", "-").replace(" ", "-") for c in COLD_CASES])
 def test_cold_cli_stdout_matches_golden_digest(case, argv, laws, numpy):
-    proc = _run("-X", "importtime", "-m", "kipa_lab.cli", *argv, "--seed", "0")
+    proc = _cold(case)
     assert _laws_loaded(proc.stderr) == laws
     assert ("numpy" in _imported(proc.stderr)) is numpy
     golden = json.loads(GOLDEN.read_text())

@@ -4,12 +4,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.constants as sc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kipa_lab.errors import DomainError, PhysicsWarning
 from kipa_lab.ki_device import (
     BiasPoint,
     FilmParams,
     ResonatorParams,
+    clem_frequency,
     fit_clem_tuning,
     kerr_dominance_check,
     kinetic_inductance_ratio,
@@ -53,6 +56,17 @@ def test_clem_ratio_half_critical():
 def test_clem_ratio_diverges_at_critical_current():
     with pytest.raises(DomainError, match="critical current"):
         kinetic_inductance_ratio(345e-6, reference_resonator())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(frac=st.floats(-0.999, 0.999), i_star=st.floats(1e-6, 0.1), n=st.floats(0.1, 10.0), f_r0=st.floats(1e8, 1e11),
+       alpha=st.floats(1e-3, 1.0))
+def test_clem_frequency_of_a_python_float_has_the_bits_of_a_0d_array(frac, i_star, n, f_r0, alpha):
+    # resonance_vs_bias evaluates a Python number without numpy: it must round as the numpy path does.
+    current = frac * i_star
+    scalar = clem_frequency(current, f_r0, alpha, i_star, n)
+    assert type(scalar) is float
+    assert scalar.hex() == float(clem_frequency(np.asarray(current), f_r0, alpha, i_star, n)).hex()
 
 
 def test_clem_ratio_even_and_monotone():
