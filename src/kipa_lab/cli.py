@@ -7,13 +7,15 @@ Synthetic-data mode plants known parameters with seeded Gaussian noise and
 reports the recovery alongside the truth.
 
 Exit codes: 0 success, 2 configuration error, 3 fit/extraction error,
-4 domain error.  Verbosity via the KIPA_LAB_LOG environment variable.
+4 domain error, 141 stdout closed by its reader (process entry point only).
+Verbosity via the KIPA_LAB_LOG environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_DOMAIN = 4
+EXIT_SIGPIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 _parser = None  # the parser of this process, built by the first main() call
 
@@ -428,5 +431,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """The ``kipa-lab`` process: main() with the cyclic garbage collector off,
+    and the heap frozen on every way out, so the collections at interpreter
+    exit have nothing to walk.  Only a process that ends after the command
+    should call this; main() never touches gc.  A closed stdout is exit 141
+    with nothing on stderr."""
+    gc.disable()  # a run is short: its cycles die with the process, and collecting them while numpy imports costs more than it frees
+    try:
+        code = main(argv)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the flush at shutdown
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is left in the buffer goes nowhere at shutdown
+        return EXIT_SIGPIPE
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

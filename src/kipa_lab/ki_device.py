@@ -114,6 +114,10 @@ def clem_frequency(current, f_r0: float, alpha: float, i_star: float, n: float):
     return f_r0 * ((1.0 - alpha) + alpha * clem_ratio(current, i_star, n)) ** -0.5
 
 
+def _diverges(res: ResonatorParams) -> DomainError:
+    return DomainError(f"kinetic inductance diverges at the critical current I* = {res.i_star:.4e} A")
+
+
 def _check_below_critical(current, res: ResonatorParams) -> None:
     if isinstance(current, (int, float)):
         over = abs(current) >= res.i_star
@@ -121,9 +125,7 @@ def _check_below_critical(current, res: ResonatorParams) -> None:
         import numpy as np
         over = np.any(np.abs(np.asarray(current, dtype=float)) >= res.i_star)
     if over:
-        raise DomainError(
-            f"kinetic inductance diverges at the critical current I* = {res.i_star:.4e} A"
-        )
+        raise _diverges(res)
 
 
 def kinetic_inductance_ratio(current: float, res: ResonatorParams):
@@ -145,7 +147,10 @@ def resonance_vs_bias(i_dc, res: ResonatorParams):
         import numpy as np
         _check_switching(np.max(np.abs(np.asarray(i_dc))), res)
     _check_below_critical(i_dc, res)
-    return clem_frequency(i_dc, res.f_r0, res.alpha, res.i_star, res.clem_exponent)
+    try:
+        return clem_frequency(i_dc, res.f_r0, res.alpha, res.i_star, res.clem_exponent)
+    except (ZeroDivisionError, OverflowError):  # a Python float near I*: 1 - (|I|/I*)^n rounds to 0, or its power overflows
+        raise _diverges(res) from None
 
 
 def self_kerr(res: ResonatorParams, f_r: float) -> float:

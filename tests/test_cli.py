@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kipa_lab import cli, env_models, io_dynamics, report
-from kipa_lab.errors import DomainError
+from kipa_lab.errors import DomainError, PhysicsWarning
 from kipa_lab.fitkit import SweepRecord
 from kipa_lab.reproduce import FIXTURES
 
@@ -734,3 +734,21 @@ def test_tune_synthetic_underdetermined_exits_3(tmp_path, capsys, n_points, mess
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("fit error:") and message in lines[0], err
+
+
+@pytest.mark.parametrize(
+    "exponent, current",
+    [(0.1, 0.00034499999999999993), (0.1, -0.00034499999999999993), (0.5, 0.00034499999999999993),
+     (0.5, -0.00034499999999999993), (0.005, 0.9 * 3.45e-4)],
+    ids=["n0.1", "n0.1-negative", "n0.5", "n0.5-negative", "n0.005-overflow"],
+)
+def test_tune_current_near_critical_exits_4_naming_i_star(tmp_path, capsys, exponent, current):
+    # |I| one ulp below I* = 3.45e-4 A: 1 - (|I|/I*)^n rounds to 0 for n <= 0.5; at n = 0.005 its power overflows.
+    cfg = tmp_path / "device.json"
+    cfg.write_text(_edited("device.json", exponent, "device", "resonator", "clem_exponent"))
+    with pytest.warns(PhysicsWarning, match="switching current"):
+        code = cli.main(["tune", "--config", str(cfg), "--current", repr(current)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["domain error: kinetic inductance diverges at the critical current I* = 3.4500e-04 A"], err

@@ -13,9 +13,14 @@ loads numpy at all; ``design``, ``squeeze``, ``chain-propagate`` and plain
 ``tune`` do not.  The same runs pin what a run loads only for the work that
 needs it: numpy's RNG only where it draws noise, the fit engine only where it
 fits, and ``logging`` only for a record that passes KIPA_LAB_LOG, unset here.
+A ``kipa-lab`` process runs ``cli.run``: it ends with the cyclic collector off
+and its heap frozen, and a closed stdout ends it with exit 141 and no stderr.
+In-process ``cli.main`` leaves ``gc`` as the caller set it.
 """
 
+import ast
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -25,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from kipa_lab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_seed0.json"
@@ -40,9 +47,9 @@ def _env(**extra) -> dict:
     return {**env, **extra}
 
 
-def _run(*args, **extra) -> subprocess.CompletedProcess:
+def _run(*args, exit_code=0, **extra) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, *args], env=_env(**extra), cwd=ROOT, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return proc
 
 
@@ -160,3 +167,93 @@ def test_cold_cli_stdout_matches_golden_digest(case, argv, laws, numpy):
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests were taken with numpy {golden['numpy']}, this is numpy {np.__version__}")
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == golden["digests"][f"{case} [json]"]["stdout"]
+
+
+# Prints (gc.isenabled(), gc.get_freeze_count() > 0) to stderr as the process exits.
+GC_PROBE = "import atexit, gc, sys; atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+RAISING_HANDLER = "import kipa_lab.cli as cli\ndef boom(args): raise RuntimeError('boom')\ncli.cmd_design = boom\ncli.run(['design'])\n"
+
+
+@pytest.mark.parametrize(
+    "code, exit_code",
+    [
+        ("import runpy, sys; sys.argv[1:] = ['design', '--config', 'configs/sif.json']; runpy.run_module('kipa_lab.cli', run_name='__main__')", 0),
+        ("import runpy, sys; sys.argv[1:] = ['design', '--no-such-flag']; runpy.run_module('kipa_lab.cli', run_name='__main__')", 2),
+        (RAISING_HANDLER, 1),
+    ],
+    ids=["return", "usage-error", "exception"],
+)
+def test_process_exits_with_collector_off_and_heap_frozen(code, exit_code):
+    proc = _run("-c", GC_PROBE + code, exit_code=exit_code)
+    assert proc.stderr.splitlines()[-1] == "False True", proc.stderr
+
+
+def test_console_script_is_the_main_block_entry_point():
+    target = next(line.split("=", 1)[1].strip().strip('"') for line in (ROOT / "pyproject.toml").read_text().splitlines()
+                  if line.startswith("kipa-lab ="))
+    module, _, func = target.partition(":")
+    assert module == "kipa_lab.cli"
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_block = next(node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test))
+    called = {node.func.id for node in ast.walk(main_block) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert func in called and callable(getattr(cli, func))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "argv",
+    [["design", "--config", "configs/sif.json"], ["design"], ["squeeze", "--config", "configs/budget.json", "--gx-db", "5000"],
+     ["design", "--no-such-flag"]],
+    ids=["exit-0", "exit-2", "exit-4", "usage-error"],
+)
+def test_in_process_main_leaves_gc_as_the_caller_set_it(monkeypatch, capsys, argv, enabled):
+    monkeypatch.chdir(ROOT)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["design", "--config", "configs/sif.json"], 0),
+        (["design"], 2),
+        (["tune", "--config", "{tmp}/device.json", "--synthetic"], 3),
+        (["squeeze", "--config", "configs/budget.json", "--gx-db", "5000"], 4),
+    ],
+    ids=["exit-0", "exit-2", "exit-3", "exit-4"],
+)
+def test_process_exit_code_is_that_of_main(monkeypatch, capsys, tmp_path, argv, want):
+    # A one-point tune sweep cannot fix both I* and the Clem exponent: exit 3.
+    doc = json.loads((ROOT / "configs" / "device.json").read_text())
+    doc["synthetic"]["n_points"] = 1
+    (tmp_path / "device.json").write_text(json.dumps(doc))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == want
+    assert _run("-m", "kipa_lab.cli", *argv, exit_code=want).stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["reproduce", "all"], ["design", "--config", "configs/sif.json"]], ids=["reproduce-all", "design"])
+def test_closed_stdout_exits_141_with_empty_stderr(argv, unbuffered):
+    # The read end closes before the process starts, so every write fails; `| head` would race.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kipa_lab.cli", *argv], env=env, cwd=ROOT, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
