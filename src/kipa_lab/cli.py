@@ -7,7 +7,8 @@ Synthetic-data mode plants known parameters with seeded Gaussian noise and
 reports the recovery alongside the truth.
 
 Exit codes: 0 success, 2 configuration error, 3 fit/extraction error,
-4 domain error, 141 stdout closed by its reader (process entry point only).
+4 domain error, 141 stdout closed by its reader (process entry point only);
+a closed stderr loses the error line, not the code.
 Verbosity via the KIPA_LAB_LOG environment variable.
 """
 
@@ -174,20 +175,16 @@ def cmd_gain(args) -> int:
             pass
     else:
         results["status"] = "no steady state: |xi|^2 >= kappa_bar^2 + Delta^2, so the gain has no peak or bandwidth"
+        if args.synthetic:
+            raise DomainError(f"--synthetic has no gain curve to plant on: {results['status']}")
     residuals = None
     if args.synthetic:
         from . import synthetic
-        from .fitkit import nlls_fit
-        kappa_hz = cav.kappa / (2.0 * math.pi)
-        gamma_hz = cav.gamma / (2.0 * math.pi)
-        delta_hz = cav.delta / (2.0 * math.pi)
-        xi_frac = abs(cav.xi) / (2.0 * math.pi) / (kappa_hz + gamma_hz / 2.0)
-        sweep, truth = synthetic.gain_sweep(
-            kappa_hz, gamma_hz, delta_hz, xi_frac, cav.f_pump, span, n, c["synthetic"]["noise_db"], args.seed
-        )
-        p0 = [kappa_hz * 1.05, gamma_hz + 0.01 * kappa_hz, delta_hz + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
-        fit = nlls_fit(lambda x, p: synthetic.gain_db_model(x, p, cav.f_pump), sweep, p0)
-        model_y = synthetic.gain_db_model(sweep.x, fit.params, cav.f_pump)
+        sweep, truth = synthetic.gain_sweep(cav, curve, c["synthetic"]["noise_db"], args.seed)
+        kappa_hz = truth["kappa_hz"]
+        p0 = [kappa_hz * 1.05, truth["gamma_hz"] + 0.01 * kappa_hz, truth["delta_hz"] + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
+        fit = io_dynamics.fit_gain_curve(sweep, cav.f_pump, p0)
+        model_y = io_dynamics.gain_db_model(sweep.x, fit.params, cav.f_pump)
         residuals = dict(f_hz=sweep.x, gain_db=sweep.y, model_db=model_y, residual_db=sweep.y - model_y)
         results["fit"] = {
             "kappa_hz": float(fit.params[0]),
@@ -418,17 +415,24 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # keeps the caller's filters but forgets which warnings were shown, as a new process does
             return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, f"configuration error: {exc}")
     except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
+        return _error(EXIT_FIT, f"fit error: {exc}")
     except (DomainError, ArithmeticError) as exc:  # a float out of range is outside the domain too
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, f"domain error: {exc}")
     except KipaLabError as exc:  # pragma: no cover - unexpected subclass
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(1, f"error: {exc}")
+
+
+def _error(code: int, line: str) -> int:
+    """Write one error line to stderr and return the exit code it goes
+    with.  A closed stderr loses the line, not the code: sys.stderr is None
+    when fd 2 was closed at start, and raises OSError when closed since."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
+    return code
 
 
 def run(argv=None) -> int:

@@ -1,9 +1,9 @@
 """Input-output theory of the dc-pumped cavity measured in transmission.
 
-Frequency-domain steady state only: signal and idler gains, degenerate
-phase-sensitive gain, quadrature transfer, output quadrature variances,
-gain-bandwidth product extraction, pump-point search and 1-dB compression
-extraction.
+Frequency-domain steady state only: signal and idler gains, the gain-curve
+fit, degenerate phase-sensitive gain, quadrature transfer, output quadrature
+variances, gain-bandwidth product extraction, pump-point search and 1-dB
+compression extraction.
 
 Conventions
 -----------
@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ExtractionError, SingularityError
-from .quantities import VACUUM_VARIANCE, n_kappa2_term  # noqa: F401 - n_kappa2_term is re-exported
+from .quantities import VACUUM_VARIANCE
 from .report import write_csv
 
 _POLE_GUARD = 1e-12
@@ -142,6 +142,30 @@ def signal_gain(cav: PumpedCavity, f_hz, allow_unstable: bool = False):
     den = _denominator(cav, w)
     g = (cav.kappa * cav.kappa_bar - 1j * cav.kappa * (cav.delta + w)) / den
     return complex(g) if np.isscalar(f_hz) else g
+
+
+def gain_db_model(f: np.ndarray, p: Sequence[float], f_pump_hz: float) -> np.ndarray:
+    """Fit model: power gain in dB vs absolute frequency.
+
+    p = [kappa_hz, gamma_hz, delta_hz, xi_hz]; the pump frequency is a fixed
+    property of the sweep, not a fitted parameter.  Rate parameters enter
+    through their absolute values so trial steps of an optimizer cannot
+    leave the physical domain.
+    """
+    kappa_hz, gamma_hz, delta_hz, xi_hz = p
+    cav = PumpedCavity.from_ordinary(
+        abs(kappa_hz), abs(gamma_hz), delta_hz, -1j * abs(xi_hz), f_pump_hz
+    )
+    g = signal_gain(cav, np.asarray(f, dtype=float), allow_unstable=True)
+    return 10.0 * np.log10(np.abs(g) ** 2)
+
+
+def fit_gain_curve(sweep: SweepRecord, f_pump_hz: float, p0: Sequence[float]) -> FitResult:
+    """Fit gain_db_model to a (frequency in Hz, power gain in dB) sweep at a
+    fixed pump frequency, from p0 = [kappa_hz, gamma_hz, delta_hz, xi_hz].
+    Returns a FitResult with params in that order."""
+    from .fitkit import nlls_fit
+    return nlls_fit(lambda f, p: gain_db_model(f, p, f_pump_hz), sweep, p0)
 
 
 def idler_gain(cav: PumpedCavity, f_hz, allow_unstable: bool = False):

@@ -128,14 +128,6 @@ def _check_below_critical(current, res: ResonatorParams) -> None:
         raise _diverges(res)
 
 
-def kinetic_inductance_ratio(current: float, res: ResonatorParams):
-    """Clem ratio L_k(I) / L_k(0) of the resonator; scalars or arrays."""
-    import numpy as np
-    _check_below_critical(current, res)
-    out = clem_ratio(np.asarray(current, dtype=float), res.i_star, res.clem_exponent)
-    return float(out) if np.isscalar(current) else out
-
-
 def resonance_vs_bias(i_dc, res: ResonatorParams):
     """Resonant frequency in Hz at a dc bias current, a scalar or an array
     (the Clem tuning law)."""

@@ -25,7 +25,6 @@ PLANCK = 6.62607015e-34  # J s
 HBAR = PLANCK / (2.0 * math.pi)  # J s, 1.05457182e-34
 BOLTZMANN = 1.380649e-23  # J / K
 E_CHARGE = 1.602176634e-19  # C
-MU_0 = 1.25663706212e-6  # H / m
 EULER_GAMMA = 0.5772156649015329
 
 # The reference operating point, a default of the config schema.
@@ -33,16 +32,6 @@ REFERENCE_F_SIGNAL = 5.6735e9  # Hz
 REFERENCE_T_KIPA = 0.286  # K
 
 VACUUM_VARIANCE = 0.25  # <X^2> of vacuum for a = X + iY: the input of the second port and the loss bath
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    if not ratio > 0.0:
-        raise DomainError(f"dB conversion requires a positive power ratio, got {ratio}")
-    return 10.0 * math.log10(ratio)
 
 
 def bose_einstein_occupation(temperature_k: float, f) -> float:
@@ -68,14 +57,6 @@ def photon_temperature_equivalent(temperature_k: float, f) -> float:
     if f_hz <= 0.0:
         raise DomainError(f"frequency must be positive, got {f_hz} Hz")
     return BOLTZMANN * temperature_k / (PLANCK * f_hz)
-
-
-def temperature_from_photons(photons: float, f) -> float:
-    """Inverse of the linear convention: T = n*h*f/k_B."""
-    f_hz = float(f)
-    if photons < 0.0 or f_hz <= 0.0:
-        raise DomainError("need photons >= 0 and f > 0")
-    return photons * PLANCK * f_hz / BOLTZMANN
 
 
 def quantum_limit_temperature(f) -> float:

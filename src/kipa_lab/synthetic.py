@@ -5,7 +5,8 @@ passes --seed), and draws its noise once from ``np.random.default_rng(rng)``,
 which returns a Generator unchanged: a seed and the Generator made from it
 plant the same bits, and a noiseless plant loads no RNG.  Returned truth
 dictionaries carry the planted parameters.  Each generator imports the law
-it plants, and SweepRecord, when it runs.
+it plants, and SweepRecord, when it runs; gain_sweep is handed the curve it
+plants, the one the gain command already computed.
 """
 
 from __future__ import annotations
@@ -35,49 +36,23 @@ def _with_noise(x, y, sigma, rng) -> SweepRecord:
 
 
 def gain_sweep(
-    kappa_hz: float,
-    gamma_hz: float,
-    delta_hz: float,
-    xi_frac_of_kbar: float,
-    f_pump_hz: float,
-    span_hz: float,
-    n_points: int,
+    cav: PumpedCavity,
+    curve: GainCurve,
     noise_db: float,
     rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
-    """Driven-cavity power-gain curve in dB with additive Gaussian noise."""
-    from .io_dynamics import GainCurve, PumpedCavity
-    kbar_hz = kappa_hz + gamma_hz / 2.0
-    xi_hz = xi_frac_of_kbar * kbar_hz
-    cav = PumpedCavity.from_ordinary(kappa_hz, gamma_hz, delta_hz, -1j * xi_hz, f_pump_hz)
-    f = np.linspace(f_pump_hz / 2.0 - span_hz / 2.0, f_pump_hz / 2.0 + span_hz / 2.0, n_points)
-    y = GainCurve.from_cavity(cav, f).power_gain_db
-    sweep = _with_noise(f, y, np.full(n_points, noise_db) if noise_db > 0 else None, rng)
+    """The power gain of ``curve``, the cavity's GainCurve, in dB with
+    additive Gaussian noise; the truth is the cavity's rates in Hz."""
+    two_pi = 2.0 * math.pi
+    sigma = np.full(curve.f_hz.size, noise_db) if noise_db > 0 else None
     truth = {
-        "kappa_hz": kappa_hz,
-        "gamma_hz": gamma_hz,
-        "delta_hz": delta_hz,
-        "xi_hz": xi_hz,
-        "f_pump_hz": f_pump_hz,
+        "kappa_hz": cav.kappa / two_pi,
+        "gamma_hz": cav.gamma / two_pi,
+        "delta_hz": cav.delta / two_pi,
+        "xi_hz": abs(cav.xi) / two_pi,
+        "f_pump_hz": cav.f_pump,
     }
-    return sweep, truth
-
-
-def gain_db_model(f: np.ndarray, p: Sequence[float], f_pump_hz: float) -> np.ndarray:
-    """Fit model: power gain in dB vs absolute frequency.
-
-    p = [kappa_hz, gamma_hz, delta_hz, xi_hz]; the pump frequency is a fixed
-    property of the sweep, not a fitted parameter.  Rate parameters enter
-    through their absolute values so trial steps of an optimizer cannot
-    leave the physical domain.
-    """
-    from .io_dynamics import PumpedCavity, signal_gain
-    kappa_hz, gamma_hz, delta_hz, xi_hz = p
-    cav = PumpedCavity.from_ordinary(
-        abs(kappa_hz), abs(gamma_hz), delta_hz, -1j * abs(xi_hz), f_pump_hz
-    )
-    g = signal_gain(cav, np.asarray(f, dtype=float), allow_unstable=True)
-    return 10.0 * np.log10(np.abs(g) ** 2)
+    return _with_noise(curve.f_hz, curve.power_gain_db, sigma, rng), truth
 
 
 def noise_sweep(

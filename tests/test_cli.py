@@ -435,6 +435,36 @@ def test_gain_curve_not_finite_exits_4(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("domain error: the gain curve is not finite")
 
 
+def _csv_column(path, name) -> list:
+    lines = path.read_text().splitlines()
+    i = lines[0].split(",").index(name)
+    return [line.split(",")[i] for line in lines[1:]]
+
+
+def test_gain_synthetic_plants_on_the_grid_of_the_curve(tmp_path, capsys):
+    # A grid centred 5 MHz off f_pump/2: the planted sweep lies on the curve's frequencies.
+    grid = {"center_hz": 5.6785e9, "span_hz": 4.0e8, "n_points": 2001}
+    cfg = tmp_path / "g.json"
+    cfg.write_text(_edited("gain.json", grid, "grid"))
+    out = tmp_path / "out"
+    code, _ = run(capsys, "gain", "--config", str(cfg), "--synthetic", "--out", str(out))
+    assert code == 0
+    f_hz = _csv_column(out / "residuals.csv", "f_hz")
+    assert f_hz == _csv_column(out / "curve.csv", "f_hz")
+    want = np.linspace(grid["center_hz"] - grid["span_hz"] / 2.0, grid["center_hz"] + grid["span_hz"] / 2.0, grid["n_points"])
+    assert np.array_equal(np.array(f_hz, dtype=float), want)
+
+
+def test_gain_synthetic_without_steady_state_exits_4_in_one_line(tmp_path, capsys):
+    cfg = _gain_config(tmp_path, xi_frac_of_kbar=1.2)
+    code = cli.main(["gain", "--config", str(cfg), "--synthetic"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:") and "no steady state" in lines[0]
+    assert "allow_unstable" not in err
+
+
 def test_bundle_json_rejects_non_finite():
     with pytest.raises(DomainError, match="non-finite"):
         report.bundle_json({"results": {"peak_gain_db": float("nan")}})

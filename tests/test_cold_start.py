@@ -14,8 +14,9 @@ loads numpy at all; ``design``, ``squeeze``, ``chain-propagate`` and plain
 needs it: numpy's RNG only where it draws noise, the fit engine only where it
 fits, and ``logging`` only for a record that passes KIPA_LAB_LOG, unset here.
 A ``kipa-lab`` process runs ``cli.run``: it ends with the cyclic collector off
-and its heap frozen, and a closed stdout ends it with exit 141 and no stderr.
-In-process ``cli.main`` leaves ``gc`` as the caller set it.
+and its heap frozen, a closed stdout ends it with exit 141 and no stderr, and
+a closed stderr loses the error line but not the exit code.  In-process
+``cli.main`` leaves ``gc`` as the caller set it.
 """
 
 import ast
@@ -257,3 +258,22 @@ def test_closed_stdout_exits_141_with_empty_stderr(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# Two ways to lose stderr: fd 2 closed before the interpreter starts (`2>&-`; sys.stderr is None, and a
+# print to it would go to stdout), or closed while it runs (writing to sys.stderr raises OSError).
+CLOSED_STDERR = {
+    "at-start": ["sh", "-c", 'exec "$0" -m kipa_lab.cli "$@" 2>&-', sys.executable],
+    "while-running": [sys.executable, "-c", "import os, runpy; os.close(2); runpy.run_module('kipa_lab.cli', run_name='__main__')"],
+}
+
+
+@pytest.mark.parametrize("closed", list(CLOSED_STDERR))
+@pytest.mark.parametrize("argv, want", [(["design"], 2), (["gain", "--config", "{tmp}/gain.json"], 4)], ids=["exit-2", "exit-4"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, want, closed):
+    doc = json.loads((ROOT / "configs" / "gain.json").read_text())
+    doc["grid"]["span_hz"] = 0
+    (tmp_path / "gain.json").write_text(json.dumps(doc))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run(CLOSED_STDERR[closed] + argv, env=_env(), cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (want, "")

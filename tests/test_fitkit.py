@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from kipa_lab import fitkit, synthetic
+from kipa_lab import fitkit, io_dynamics, synthetic
 from kipa_lab.errors import DomainError, FitError, RankError
 from kipa_lab.fitkit import SweepRecord, _numeric_jacobian, linear_fit, nlls_fit, proportional_fit
 
@@ -118,9 +118,11 @@ def test_nlls_matches_scipy_curve_fit():
 def test_nlls_gain_curve_plant_kappa_within_3_sigma():
     rng = np.random.default_rng(11)
     # 1% amplitude noise is about 0.043 dB on the power-gain curve.
-    sweep, truth = synthetic.gain_sweep(1.98e7, 1.0e6, 0.0, 0.9487, 1.1347e10, 4e8, 801, 0.043, rng)
+    cav = io_dynamics.PumpedCavity.from_ordinary(1.98e7, 1.0e6, 0.0, -1j * 0.9487 * (1.98e7 + 0.5e6), 1.1347e10)
+    curve = io_dynamics.GainCurve.from_cavity(cav, np.linspace(5.6735e9 - 2e8, 5.6735e9 + 2e8, 801))
+    sweep, truth = synthetic.gain_sweep(cav, curve, 0.043, rng)
     p0 = [1.9e7, 1.5e6, 1e5, truth["xi_hz"] * 0.95]
-    res = nlls_fit(lambda x, p: synthetic.gain_db_model(x, p, 1.1347e10), sweep, p0)
+    res = nlls_fit(lambda x, p: io_dynamics.gain_db_model(x, p, 1.1347e10), sweep, p0)
     assert res.converged
     assert abs(res.params[0] - truth["kappa_hz"]) < 3.0 * res.stderr[0]
 

@@ -15,7 +15,6 @@ from kipa_lab.io_dynamics import (
     gbp_extract,
     idler_gain,
     n_gamma_term,
-    n_kappa2_term,
     output_quadrature_variance,
     peak_gain_db,
     quadrature_gain_x,
@@ -24,6 +23,7 @@ from kipa_lab.io_dynamics import (
     signal_gain,
     transmission_deamp,
 )
+from kipa_lab.quantities import n_kappa2_term
 from kipa_lab.synthetic import PumpMap, compression_sweep, pump_gain_map
 
 F_PUMP = 1.1347e10

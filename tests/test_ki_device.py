@@ -13,9 +13,9 @@ from kipa_lab.ki_device import (
     FilmParams,
     ResonatorParams,
     clem_frequency,
+    clem_ratio,
     fit_clem_tuning,
     kerr_dominance_check,
-    kinetic_inductance_ratio,
     pump_strength_3wm,
     resonance_vs_bias,
     self_kerr,
@@ -42,20 +42,21 @@ def reference_resonator(**overrides) -> ResonatorParams:
 
 
 def test_clem_ratio_zero_current():
-    assert kinetic_inductance_ratio(0.0, reference_resonator()) == 1.0
+    assert clem_ratio(0.0, 345e-6, 2.21) == 1.0
 
 
 def test_clem_ratio_half_critical():
     # Oracle: high-precision evaluation of the closed form.
     expected = float((1 - mp.mpf("0.5") ** mp.mpf("2.21")) ** (-1 / mp.mpf("2.21")))
-    got = kinetic_inductance_ratio(0.5 * 345e-6, reference_resonator())
+    got = clem_ratio(0.5 * 345e-6, 345e-6, 2.21)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(1.1164890135587463, rel=1e-12)
 
 
 def test_clem_ratio_diverges_at_critical_current():
-    with pytest.raises(DomainError, match="critical current"):
-        kinetic_inductance_ratio(345e-6, reference_resonator())
+    # The checked path, resonance_vs_bias, refuses I* (past the switching current, so it warns first).
+    with pytest.warns(PhysicsWarning, match="switching"), pytest.raises(DomainError, match="critical current"):
+        resonance_vs_bias(345e-6, reference_resonator())
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -73,12 +74,13 @@ def test_clem_ratio_even_and_monotone():
     res = reference_resonator()
     rng = np.random.default_rng(21)
     currents = rng.uniform(0.0, 0.95, 200) * res.i_star
+    i_star, n = res.i_star, res.clem_exponent
     for i in currents[:50]:
-        assert kinetic_inductance_ratio(i, res) == kinetic_inductance_ratio(-i, res)
+        assert clem_ratio(i, i_star, n) == clem_ratio(-i, i_star, n)
     grid = np.sort(currents)
-    vals = kinetic_inductance_ratio(grid, res)
+    vals = clem_ratio(grid, i_star, n)
     assert np.all(np.diff(vals) > 0)
-    assert kinetic_inductance_ratio(0.9999 * res.i_star, res) > 20.0
+    assert clem_ratio(0.9999 * i_star, i_star, n) > 20.0
 
 
 def test_resonance_at_zero_bias_is_f_r0():

@@ -9,15 +9,11 @@ from kipa_lab.quantities import (
     BOLTZMANN,
     E_CHARGE,
     HBAR,
-    MU_0,
     PLANCK,
     bisect,
     bose_einstein_occupation,
-    db_to_linear,
-    linear_to_db,
     photon_temperature_equivalent,
     quantum_limit_temperature,
-    temperature_from_photons,
 )
 
 F_SIGNAL = 5.6735e9
@@ -27,7 +23,6 @@ def test_constants_match_scipy():
     assert PLANCK == sc.h
     assert BOLTZMANN == sc.k
     assert E_CHARGE == sc.e
-    assert MU_0 == pytest.approx(sc.mu_0, rel=1e-9)
 
 
 def test_h_is_two_pi_hbar_exactly():
@@ -76,12 +71,6 @@ def test_linear_mode_is_linear_in_temperature():
     assert n2 == pytest.approx(2.0 * n1, rel=1e-14)
 
 
-def test_temperature_from_photons_inverts_linear_mode():
-    t = temperature_from_photons(1.04, F_SIGNAL)
-    assert abs(t - 0.286) / 0.286 < 0.02
-    assert photon_temperature_equivalent(t, F_SIGNAL) == pytest.approx(1.04, rel=1e-14)
-
-
 def test_quantum_limit_temperature_values():
     expected = sc.h * F_SIGNAL / (2.0 * sc.k)
     t = quantum_limit_temperature(F_SIGNAL)
@@ -102,26 +91,11 @@ def test_quantum_limit_small_frequency_limit():
         quantum_limit_temperature(0.0)
 
 
-def test_db_examples():
-    assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
-    assert linear_to_db(1.0) == 0.0
-    assert linear_to_db(0.3548) == pytest.approx(-4.5, abs=5e-4)
-
-
-def test_db_round_trip_property():
-    rng = np.random.default_rng(1234)
-    x = 10.0 ** rng.uniform(-12, 12, size=1000)
-    back = np.array([db_to_linear(linear_to_db(v)) for v in x])
-    assert np.max(np.abs(back - x) / x) < 1e-12
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         photon_temperature_equivalent(-0.1, F_SIGNAL)
     with pytest.raises(DomainError):
         photon_temperature_equivalent(0.1, -1.0)
-    with pytest.raises(DomainError):
-        linear_to_db(0.0)
     with pytest.raises(DomainError):
         bose_einstein_occupation(-1.0, F_SIGNAL)
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kipa_lab.errors import DomainError
-from kipa_lab.io_dynamics import PumpedCavity, n_kappa2_term, output_quadrature_variance, quadrature_gain_x
+from kipa_lab.io_dynamics import PumpedCavity, output_quadrature_variance, quadrature_gain_x
+from kipa_lab.quantities import n_kappa2_term
 from kipa_lab.squeeze import SqueezeBudget, extract_gx, max_measurable_squeezing, squeezing_factor
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kipa_lab import config, synthetic
+from kipa_lab import config, io_dynamics, synthetic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,8 +26,10 @@ def _plants(noisy: bool) -> dict:
     syn = _config("chain.json")["synthetic"]
     res = config.parse_device(_config("device.json")["device"]).resonator
     field = config.parse_field_model(_config("field.json")["field_model"])
+    cav = config.parse_cavity(_config("gain.json")["cavity"])
+    curve = io_dynamics.GainCurve.from_cavity(cav, np.linspace(5.6735e9 - 2e8, 5.6735e9 + 2e8, 101))
     return {
-        "gain_sweep": lambda rng: synthetic.gain_sweep(1.98e7, 1.0e6, 0.0, 0.9, 1.1347e10, 4e8, 101, 0.1 * noisy, rng),
+        "gain_sweep": lambda rng: synthetic.gain_sweep(cav, curve, 0.1 * noisy, rng),
         "noise_sweep": lambda rng: synthetic.noise_sweep(chain, syn["t_kipa_k"], syn["f_signal_hz"], syn["f_idler_hz"], None,
                                                          0.01 * noisy, rng),
         "hemt_sweep": lambda rng: synthetic.hemt_sweep(chain, syn["f_signal_hz"], None, 0.01 * noisy, rng),
