@@ -24,8 +24,8 @@ from .report import write_csv
 class SweepRecord:
     """A generic (x, y, sigma_y) dataset for fits.
 
-    sigma_y is optional; when present it must be positive and is used as
-    inverse-variance weights.
+    sigma_y is optional; when present it must be positive, with a finite
+    weight 1/sigma_y^2, and is used as inverse-variance weights.
     """
 
     x: np.ndarray
@@ -43,6 +43,9 @@ class SweepRecord:
                 raise FitError("sigma_y must match x in length")
             if np.any(self.sigma_y <= 0.0):
                 raise FitError("sigma_y entries must be positive")
+            with np.errstate(over="ignore", divide="ignore"):
+                if not np.all(np.isfinite(1.0 / self.sigma_y**2)):
+                    raise FitError(f"sigma_y entries must give a finite weight 1/sigma_y^2, not {np.min(self.sigma_y):g}")
 
     def __len__(self) -> int:
         return self.x.size

@@ -128,16 +128,6 @@ def coupling_q(sif: SifDesign) -> float:
 
 
 def coupling_rate(sif: SifDesign) -> float:
-    """External coupling rate as ordinary frequency, kappa/2pi in Hz.
-
-    Computed both as f_0 / Q_c and directly as
-    (pi/4) * (Z_eff / Z_r) * f_0; the two routes must agree to 1e-12.
-    """
-    z_eff = effective_impedance(sif)
-    via_q = sif.f_0 / coupling_q(sif)
-    direct = 0.25 * math.pi * (z_eff / sif.z_r) * sif.f_0
-    if abs(via_q - direct) > 1e-12 * abs(direct):
-        raise AssertionError(
-            f"coupling-rate routes disagree: {via_q} vs {direct}"
-        )  # pragma: no cover - algebraically impossible
-    return direct
+    """External coupling rate as ordinary frequency, kappa/2pi in Hz,
+    (pi/4) * (Z_eff / Z_r) * f_0, which is f_0 / Q_c."""
+    return 0.25 * math.pi * (effective_impedance(sif) / sif.z_r) * sif.f_0

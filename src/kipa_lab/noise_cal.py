@@ -129,53 +129,35 @@ class ReceiverChain:
     def output_power(self, t_in, t_noise, through: bool = False):
         return self.watts_per_kelvin * self.output_temperature(t_in, t_noise, through)
 
-
-@dataclass(frozen=True)
-class VtsSetpoint:
-    """Source temperature (one, or an array of them) together with the
-    signal/idler carriers and the signal-to-idler conversion ratio (g - 1
-    for a phase-insensitive amplifier at gain g)."""
-
-    t_vts: float  # K, or an array
-    f_signal: float  # Hz
-    f_idler: float  # Hz
-    g_conv: float
-
-    def __post_init__(self):
+    def input_temperature(self, t_vts, f_signal: float, f_idler: Optional[float] = None, through: bool = False):
+        """The source law: noise at the amplifier input, in K, from a source at
+        t_vts (K, or an array).  eta*[T_s + ((g - 1)/g)*T_i] with the device
+        in line, its idler converted at g - 1; 2*eta_e*T_s through the 50-ohm
+        through, whose losses are passed down and back up.  T_f is the coth
+        law at carrier f; f_idler is read with the device in line only.
+        Every t_vts and each carrier read must be positive."""
         import numpy as np
-        if np.any(np.asarray(self.t_vts) <= 0.0):
-            raise DomainError("source temperature must be positive")
-        if self.g_conv < 0.0:
-            raise DomainError("conversion ratio must be >= 0")
+        t_vts = np.asarray(t_vts, dtype=float)
+        if not np.all(t_vts > 0.0):
+            raise DomainError(f"source temperature must be positive, not {t_vts[~(t_vts > 0.0)].flat[0]:g} K")
+        for f in (f_signal,) if through else (f_signal, f_idler):
+            if not f > 0.0:
+                raise DomainError(f"carrier frequency must be positive, not {f:g} Hz")
+        t_s = _half_quantum_coth(f_signal, t_vts)
+        if through:
+            return 2.0 * self.eta_e * t_s
+        return self.eta * (t_s + ((self.g - 1.0) / self.g) * _half_quantum_coth(f_idler, t_vts))
 
 
 def _half_quantum_coth(f_hz: float, t_k):
     """(h f / 2 k_B) * coth(h f / 2 k_B T), the quantum Johnson-Nyquist
     temperature of a matched source at a temperature or an array of them;
-    equals hf/2k_B at T = 0, where x/T is inf and tanh(inf) = 1."""
+    equals hf/2k_B at T = 0 and at a T so small that x/T overflows, where
+    x/T is inf and tanh(inf) = 1."""
     import numpy as np
     x = PLANCK * f_hz / (2.0 * BOLTZMANN)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return x / np.tanh(x / np.asarray(t_k, dtype=float))
-
-
-def vts_output_noise(sp: VtsSetpoint, g: float):
-    """Noise temperature emitted by the source toward the device, in K, at
-    each of the setpoint's source temperatures.
-
-    Signal-band term plus the idler-band term scaled by g_conv/g; both
-    follow the coth law and are bounded below by the zero-point sum.
-    """
-    if g < 1.0:
-        raise DomainError("device gain must be >= 1")
-    t_s = _half_quantum_coth(sp.f_signal, sp.t_vts)
-    t_i = _half_quantum_coth(sp.f_idler, sp.t_vts)
-    return t_s + (sp.g_conv / g) * t_i
-
-
-def input_noise(t_out: float, chain: ReceiverChain) -> float:
-    """Noise temperature reaching the device input, eta * T_out."""
-    return chain.eta * t_out
 
 
 def _fit_output_referred(t_in, sweep: SweepRecord, chain: ReceiverChain, free_slope: bool, through: bool):
@@ -246,23 +228,15 @@ class HemtNoiseFit(NamedTuple):
     fit: FitResult
 
 
-def hemt_input_noise(t_vts, f_signal: float, chain: ReceiverChain):
-    """Source noise reaching the HEMT in the 50-ohm-through configuration.
-
-    The cryogenic losses are traversed twice (down and back up), hence the
-    factor 2*eta_e on the coth law.  t_vts may be an array.
-    """
-    return 2.0 * chain.eta_e * _half_quantum_coth(f_signal, t_vts)
-
-
 def fit_hemt_noise(
     sweep: SweepRecord, chain: ReceiverChain, f_signal: float, free_slope: bool = False
 ) -> HemtNoiseFit:
     """Calibrate the HEMT noise temperature from a (T_VTS, P_out) sweep taken
     with a 50-ohm through in place of the device:
-    P_out/(g_tot k_B B) = T_in^(H) + T_HEMT + T_bkg/g_hemt.
+    P_out/(g_tot k_B B) = T_in^(H) + T_HEMT + T_bkg/g_hemt, with T_in^(H)
+    from ReceiverChain.input_temperature(..., through=True).
     """
-    t_in = hemt_input_noise(sweep.x, f_signal, chain)
+    t_in = chain.input_temperature(sweep.x, f_signal, through=True)
     _, res, t_hemt = _fit_output_referred(t_in, sweep, chain, free_slope, through=True)
     return HemtNoiseFit(t_hemt=t_hemt, t_hemt_sigma=float(res.stderr[1]), slope=float(res.params[0]), fit=res)
 

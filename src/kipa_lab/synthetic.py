@@ -25,14 +25,20 @@ def vts_setpoint_ladder(lo_k: float = 0.1, hi_k: float = 2.0) -> list[float]:
     return list(np.geomspace(lo_k, hi_k, 4))
 
 
-def _with_noise(x, y, sigma, rng) -> SweepRecord:
-    """(x, y) with Gaussian noise of standard deviation sigma (an array
-    shaped like y) drawn from ``np.random.default_rng(rng)``, added to y
-    and recorded as sigma_y, or noiseless when sigma is None."""
+def _with_noise(x, y, rng, noise_abs: float = 0.0, noise_frac: float = 0.0) -> SweepRecord:
+    """(x, y) with Gaussian noise drawn from ``np.random.default_rng(rng)``,
+    added to y and recorded as sigma_y: of standard deviation noise_abs, or
+    noise_frac*y, whichever is above 0; noiseless when neither is.  Noise
+    that overflows a double is a DomainError."""
     from .fitkit import SweepRecord
-    if sigma is None:
+    if not (noise_abs > 0 or noise_frac > 0):
         return SweepRecord(x, y)
-    return SweepRecord(x, y + np.random.default_rng(rng).normal(0.0, sigma), sigma)
+    with np.errstate(over="ignore"):
+        sigma = np.full(y.shape, noise_abs) if noise_abs > 0 else noise_frac * y
+        noisy = y + np.random.default_rng(rng).normal(0.0, sigma)
+    if not np.all(np.isfinite(noisy)):
+        raise DomainError(f"the planted noise ({noise_abs:g} absolute, {noise_frac:g} relative) overflows a double")
+    return SweepRecord(x, noisy, sigma)
 
 
 def gain_sweep(
@@ -44,7 +50,6 @@ def gain_sweep(
     """The power gain of ``curve``, the cavity's GainCurve, in dB with
     additive Gaussian noise; the truth is the cavity's rates in Hz."""
     two_pi = 2.0 * math.pi
-    sigma = np.full(curve.f_hz.size, noise_db) if noise_db > 0 else None
     truth = {
         "kappa_hz": cav.kappa / two_pi,
         "gamma_hz": cav.gamma / two_pi,
@@ -52,7 +57,7 @@ def gain_sweep(
         "xi_hz": abs(cav.xi) / two_pi,
         "f_pump_hz": cav.f_pump,
     }
-    return _with_noise(curve.f_hz, curve.power_gain_db, sigma, rng), truth
+    return _with_noise(curve.f_hz, curve.power_gain_db, rng, noise_abs=noise_db), truth
 
 
 def noise_sweep(
@@ -65,13 +70,11 @@ def noise_sweep(
     rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_in, P_out) thermometry sweep with the device in line; None sources are vts_setpoint_ladder()."""
-    from .noise_cal import VtsSetpoint, input_noise, vts_output_noise
     t_add = t_kipa + chain.t_hemt / chain.g
     t_vts = vts_setpoint_ladder() if t_vts_values is None else t_vts_values
-    sp = VtsSetpoint(np.asarray(t_vts, dtype=float), f_signal_hz, f_idler_hz, g_conv=chain.g - 1.0)
-    xs = input_noise(vts_output_noise(sp, chain.g), chain)
+    xs = chain.input_temperature(t_vts, f_signal_hz, f_idler_hz)
     ys = chain.output_power(xs, t_add)
-    return _with_noise(xs, ys, noise_frac * ys if noise_frac > 0 else None, rng), {"t_add_k": t_add, "t_kipa_k": t_kipa}
+    return _with_noise(xs, ys, rng, noise_frac=noise_frac), {"t_add_k": t_add, "t_kipa_k": t_kipa}
 
 
 def hemt_sweep(
@@ -82,11 +85,10 @@ def hemt_sweep(
     rng: np.random.Generator | int,
 ) -> Tuple[SweepRecord, Dict[str, float]]:
     """(T_VTS, P_out) sweep with a 50-ohm through in place of the device; None sources are vts_setpoint_ladder(0.1, 3.0)."""
-    from .noise_cal import hemt_input_noise
     xs = np.asarray(vts_setpoint_ladder(0.1, 3.0) if t_vts_values is None else t_vts_values, dtype=float)
-    t_in = hemt_input_noise(xs, f_signal_hz, chain)
+    t_in = chain.input_temperature(xs, f_signal_hz, through=True)
     ys = chain.output_power(t_in, chain.t_hemt, through=True)
-    return _with_noise(xs, ys, noise_frac * ys if noise_frac > 0 else None, rng), {"t_hemt_k": chain.t_hemt}
+    return _with_noise(xs, ys, rng, noise_frac=noise_frac), {"t_hemt_k": chain.t_hemt}
 
 
 def compression_sweep(
@@ -107,8 +109,9 @@ def compression_sweep(
         raise DomainError("depth_db must exceed 1 dB for a 1-dB point to exist")
     if softness_db <= 0.0:
         raise DomainError(f"softness_db must be positive, not {softness_db:g}")
-    g = small_signal_gain_db - depth_db / (1.0 + np.exp(-(p_grid_dbm - p_mid_dbm) / softness_db))
-    sweep = _with_noise(p_grid_dbm, g, np.full(p_grid_dbm.size, noise_db) if noise_db > 0 else None, rng)
+    with np.errstate(over="ignore"):  # exp(inf) = inf: the gain far below p_mid is g0
+        g = small_signal_gain_db - depth_db / (1.0 + np.exp(-(p_grid_dbm - p_mid_dbm) / softness_db))
+    sweep = _with_noise(p_grid_dbm, g, rng, noise_abs=noise_db)
     p_1db = p_mid_dbm - softness_db * math.log(depth_db - 1.0)
     truth = {"p_in_1db_dbm": p_1db, "p_out_sat_dbm": p_1db + small_signal_gain_db - 1.0}
     return sweep, truth
@@ -124,7 +127,7 @@ def clem_tuning_sweep(
     from .ki_device import resonance_vs_bias
     y = resonance_vs_bias(currents_a, res)
     truth = {"i_star_a": res.i_star, "clem_exponent": res.clem_exponent}
-    return _with_noise(currents_a, y, noise_frac * y if noise_frac > 0 else None, rng), truth
+    return _with_noise(currents_a, y, rng, noise_frac=noise_frac), truth
 
 
 def field_shift_sweep(
@@ -136,8 +139,7 @@ def field_shift_sweep(
     """(B, d_omega/omega) sweep from the quadratic field law."""
     from .env_models import field_frequency_shift
     y = field_frequency_shift(b_values_t, model)
-    sigma = np.full(b_values_t.size, noise_abs) if noise_abs > 0 else None
-    return _with_noise(b_values_t, y, sigma, rng), {"theta_b_rad": model.theta_b}
+    return _with_noise(b_values_t, y, rng, noise_abs=noise_abs), {"theta_b_rad": model.theta_b}
 
 
 @dataclass(frozen=True)

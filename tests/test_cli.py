@@ -782,3 +782,64 @@ def test_tune_current_near_critical_exits_4_naming_i_star(tmp_path, capsys, expo
     assert code == 4
     assert out == ""
     assert err.splitlines() == ["domain error: kinetic inductance diverges at the critical current I* = 3.4500e-04 A"], err
+
+
+NEGATIVE_VTS_SWEEP = "-1.0,1e-15\n0.3,2e-15\n0.9,3e-15\n2.0,4e-15\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value, path, code, message",
+    [
+        (["hemt-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4, "domain error: source temperature must be positive, not -1 K"),
+        (["hemt-fit"], "vts.csv", ("sweep_file",), 4, "domain error: source temperature must be positive, not -1 K"),
+        (["noise-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4, "domain error: source temperature must be positive, not -1 K"),
+        (["hemt-fit", "--synthetic"], 0, ("f_signal_hz",), 4, "domain error: carrier frequency must be positive, not 0 Hz"),
+        (["hemt-fit"], 0, ("f_signal_hz",), 4, "domain error: carrier frequency must be positive, not 0 Hz"),
+        (["noise-fit", "--synthetic"], 0, ("synthetic", "f_idler_hz"), 4, "domain error: carrier frequency must be positive, not 0 Hz"),
+        (["hemt-fit", "--synthetic"], -5e9, ("f_signal_hz",), 4, "domain error: carrier frequency must be positive, not -5e+09 Hz"),
+        (["hemt-fit", "--synthetic"], [5e-324, 1.0], ("synthetic", "t_vts_k"), 0, None),
+        (["noise-fit", "--synthetic"], [5e-324, 1.0], ("synthetic", "t_vts_k"), 0, None),
+    ],
+    ids=["hemt-synthetic-negative-source", "hemt-measured-negative-source", "noise-synthetic-negative-source",
+         "hemt-synthetic-zero-carrier", "hemt-measured-zero-carrier", "noise-synthetic-zero-idler",
+         "hemt-synthetic-negative-carrier", "hemt-subnormal-source", "noise-subnormal-source"],
+)
+def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_path, argv, value, path, code, message):
+    # One check of the source law's inputs serves hemt-fit and noise-fit alike; a subnormal source
+    # temperature is the zero-point limit, with no numpy warning on stderr.
+    (tmp_path / "vts.csv").write_text(NEGATIVE_VTS_SWEEP if value == "vts.csv" else "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n2.0,4e-15\n")
+    cfg = tmp_path / "chain.json"
+    doc = json.loads(_edited("chain.json", value, *path))
+    doc.setdefault("sweep_file", "vts.csv")
+    cfg.write_text(json.dumps(doc))
+    proc = _fresh([*argv, "--config", str(cfg)])
+    assert proc.returncode == code, proc.stderr
+    if message is None:
+        assert proc.stderr == "" and json.loads(proc.stdout)
+    else:
+        assert proc.stdout == "" and proc.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "config, argv, value, path, code, message",
+    [
+        ("device.json", ["tune", "--synthetic"], 1e-300, ("synthetic", "noise_frac"), 3,
+         "fit error: sigma_y entries must give a finite weight 1/sigma_y^2, not "),
+        ("device.json", ["tune", "--synthetic"], 1e300, ("synthetic", "noise_frac"), 4,
+         "domain error: the planted noise (0 absolute, 1e+300 relative) overflows a double"),
+        ("compression.json", ["compression", "--synthetic"], 1e-300, ("synthetic", "softness_db"), 0, None),
+    ],
+    ids=["tune-tiny-noise", "tune-overflowing-noise", "compression-sharp-step"],
+)
+def test_extreme_plant_prints_no_numpy_warning_in_a_fresh_process(tmp_path, config, argv, value, path, code, message):
+    # sigma_y^2 underflowing to 0 (an infinite weight), noise that overflows a double, and a logistic
+    # whose exp overflows toward its correct limit: one stderr line or none, and a documented exit code.
+    cfg = tmp_path / config
+    cfg.write_text(_edited(config, value, *path))
+    proc = _fresh([*argv, "--config", str(cfg)])
+    assert proc.returncode == code, proc.stderr
+    if message is None:
+        assert proc.stderr == "" and json.loads(proc.stdout)
+    else:
+        lines = proc.stderr.splitlines()
+        assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith(message), proc.stderr

@@ -8,9 +8,10 @@ that a sweep-fitting command writes from its bundled config under
 or negative, a short row, an extra column, a sigma_y column, or only the
 header) and refits it through sweep_file.  Each case runs one subcommand
 in-process with warnings recorded.  Whatever the edit, no exception
-escapes, the exit code is documented, a failure prints exactly one stderr
-line and nothing on stdout, and a success prints strict JSON.  The examples
-are derandomized, so the suite is deterministic.
+escapes, no numpy RuntimeWarning is raised, the exit code is documented, a
+failure prints exactly one stderr line and nothing on stdout, and a success
+prints strict JSON.  The examples are derandomized, so the suite is
+deterministic.
 """
 
 import contextlib
@@ -98,11 +99,13 @@ def reject(literal):
 
 def run_checked(argv):
     """Run the CLI in-process with warnings recorded and assert the
-    documented-exit invariants."""
+    documented-exit invariants, with no RuntimeWarning among the warnings."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = cli.main(argv)
+    # A numpy RuntimeWarning is one more stderr line in a fresh process, which the count below cannot see.
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
     assert code in (0, 2, 3, 4)
     if code:
         assert out.getvalue() == ""

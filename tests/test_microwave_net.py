@@ -107,8 +107,8 @@ def test_coupling_rate_reference_design():
 
 
 def test_coupling_rate_two_routes_agree():
-    # Route agreement is asserted inside coupling_rate; also check the
-    # explicit algebra here.
+    # coupling_rate computes (pi/4)(Z_eff/Z_r) f_0 directly; the route
+    # through the quality factor, f_0/Q_c, must agree.
     sif = reference_sif()
     assert coupling_rate(sif) == pytest.approx(sif.f_0 / coupling_q(sif), rel=1e-12)
 

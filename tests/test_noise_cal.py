@@ -10,19 +10,15 @@ from kipa_lab.fitkit import SweepRecord
 from kipa_lab.noise_cal import (
     ChainElement,
     ReceiverChain,
-    VtsSetpoint,
     _half_quantum_coth,
     fit_added_noise,
     fit_hemt_noise,
     fit_kipa_noise_vs_attenuator,
     high_temp_added_noise,
-    hemt_input_noise,
-    input_noise,
     kipa_noise_from_added,
     propagate_chain,
     propagate_noise,
     radiative_cooling,
-    vts_output_noise,
 )
 from kipa_lab.synthetic import hemt_sweep, noise_sweep, vts_setpoint_ladder
 
@@ -44,15 +40,20 @@ def reference_chain(**overrides) -> ReceiverChain:
     return ReceiverChain(**kwargs)
 
 
+def lossless_chain(g: float) -> ReceiverChain:
+    """A chain with unit efficiency, so input_temperature is the source's own
+    output noise toward a device of gain g."""
+    return reference_chain(eta_e=1.0, eta_il=1.0, g=g)
+
+
 def test_vts_output_zero_temperature_limit():
-    sp = VtsSetpoint(1e-8, F_SIGNAL, F_SIGNAL, g_conv=0.0)
+    # g = 1 converts no idler: the signal band alone, at its zero point.
     expected = sc.h * F_SIGNAL / (2 * sc.k)
-    assert vts_output_noise(sp, 100.0) == pytest.approx(expected, rel=1e-9)
+    assert lossless_chain(1.0).input_temperature(1e-8, F_SIGNAL, F_SIGNAL) == pytest.approx(expected, rel=1e-9)
 
 
 def test_vts_output_high_temperature_doubles():
-    sp = VtsSetpoint(30.0, F_SIGNAL, F_SIGNAL, g_conv=1e6 - 1.0)
-    t_out = vts_output_noise(sp, 1e6)
+    t_out = lossless_chain(1e6).input_temperature(30.0, F_SIGNAL, F_SIGNAL)
     assert t_out == pytest.approx(60.0, rel=1e-4)
 
 
@@ -62,29 +63,50 @@ def test_vts_output_frozen_oracle_value():
     x = mp.mpf("6.62607015e-34") * mp.mpf("5.6735e9") / (2 * mp.mpf("1.380649e-23"))
     frozen = float((1 + mp.mpf(99) / 100) * x * mp.coth(x))
     assert frozen == pytest.approx(2.0022795773772084, rel=1e-12)
-    sp = VtsSetpoint(1.0, F_SIGNAL, F_SIGNAL, g_conv=99.0)
-    assert vts_output_noise(sp, 100.0) == pytest.approx(frozen, rel=1e-12)
+    assert lossless_chain(100.0).input_temperature(1.0, F_SIGNAL, F_SIGNAL) == pytest.approx(frozen, rel=1e-12)
 
 
 def test_vts_output_monotone_and_bounded_below():
     sp0 = sc.h * F_SIGNAL / (2 * sc.k)
+    chain = lossless_chain(100.0)
     prev = 0.0
     for t in np.linspace(0.05, 3.0, 30):
-        val = vts_output_noise(VtsSetpoint(float(t), F_SIGNAL, F_SIGNAL, 99.0), 100.0)
+        val = chain.input_temperature(float(t), F_SIGNAL, F_SIGNAL)
         assert val > prev
         assert val >= (1 + 0.99) * sp0 * (1 - 1e-12)
         prev = val
 
 
+def test_vts_input_array_matches_scalar():
+    chain = reference_chain()
+    temps = np.geomspace(0.05, 3.0, 7)
+    got = chain.input_temperature(temps, F_SIGNAL, F_SIGNAL)
+    assert got.tolist() == [float(chain.input_temperature(t, F_SIGNAL, F_SIGNAL)) for t in temps]
+
+
 def test_input_noise_eta_product():
     chain = reference_chain()
     assert 10 * math.log10(chain.eta) == pytest.approx(-4.75, abs=1e-9)
-    assert input_noise(2.0, chain) == pytest.approx(0.66993087831565532, rel=1e-12)
+    assert 2.0 * chain.eta == pytest.approx(0.66993087831565532, rel=1e-12)
+    unit = reference_chain(eta_e=1.0, eta_il=1.0)
+    for t in (0.1, 1.0, 3.0):
+        assert chain.input_temperature(t, F_SIGNAL, 5.0e9) == chain.eta * unit.input_temperature(t, F_SIGNAL, 5.0e9)
 
 
 def test_input_noise_identity_chain():
+    # Unit efficiency: the coth law of the signal plus (g - 1)/g of the idler's.
     chain = reference_chain(eta_e=1.0, eta_il=1.0)
-    assert input_noise(1.234, chain) == 1.234
+    t_s, t_i = _half_quantum_coth(F_SIGNAL, 1.234), _half_quantum_coth(5.0e9, 1.234)
+    assert chain.input_temperature(1.234, F_SIGNAL, 5.0e9) == t_s + ((chain.g - 1.0) / chain.g) * t_i
+
+
+def test_vts_input_subnormal_source_is_the_zero_point_without_warning():
+    # x/T overflows at T = 5e-324; tanh(inf) = 1 is the T -> 0 limit, so no RuntimeWarning (an error here).
+    zero_point = sc.h * F_SIGNAL / (2 * sc.k)
+    chain = reference_chain()
+    got = chain.input_temperature([5e-324, 1.0], F_SIGNAL, F_SIGNAL)
+    assert got[0] == chain.eta * (zero_point + ((chain.g - 1.0) / chain.g) * zero_point)
+    assert chain.input_temperature(5e-324, F_SIGNAL, through=True) == 2.0 * chain.eta_e * zero_point
 
 
 def test_eta_explicit_mismatch_warns_and_wins():
@@ -208,7 +230,7 @@ def test_fit_hemt_noise_recovery_and_conditioning():
     res = fit_hemt_noise(sweep, chain, F_SIGNAL)
     assert abs(res.t_hemt - 1.95) < 1e-9
     # Free-slope design matrix over the four setpoints is well conditioned.
-    t_in = np.array([hemt_input_noise(t, F_SIGNAL, chain) for t in temps])
+    t_in = chain.input_temperature(temps, F_SIGNAL, through=True)
     X = np.column_stack([t_in, np.ones_like(t_in)])
     assert np.linalg.cond(X) < 100.0
 
@@ -225,9 +247,10 @@ def test_half_quantum_coth_array_matches_scalar_tanh():
 
 
 def test_hemt_input_noise_unit_efficiency_zero_point():
+    # Through the 50-ohm through only eta_e counts, twice; eta_il and g do not.
     chain = reference_chain(eta_e=1.0)
     zero_point = sc.h * F_SIGNAL / (2 * sc.k)
-    assert hemt_input_noise(1e-9, F_SIGNAL, chain) == pytest.approx(2 * zero_point, rel=1e-9)
+    assert chain.input_temperature(1e-9, F_SIGNAL, through=True) == pytest.approx(2 * zero_point, rel=1e-9)
 
 
 def test_propagate_cold_attenuator_limit():
@@ -325,7 +348,17 @@ def test_chain_element_validation():
 
 
 def test_vts_setpoint_validation():
-    with pytest.raises(DomainError):
-        VtsSetpoint(0.0, F_SIGNAL, F_SIGNAL, 1.0)
-    with pytest.raises(DomainError):
-        VtsSetpoint(1.0, F_SIGNAL, F_SIGNAL, -1.0)
+    # One check for both configurations: every source temperature and each carrier read is positive.
+    chain = reference_chain()
+    for through in (False, True):
+        for t_vts in (0.0, -1.0, math.nan, [1.0, -1.0], [0.5, 0.0]):
+            with pytest.raises(DomainError, match="source temperature must be positive"):
+                chain.input_temperature(t_vts, F_SIGNAL, F_SIGNAL, through=through)
+        for f_signal in (0.0, -5e9, math.nan):
+            with pytest.raises(DomainError, match="carrier frequency must be positive"):
+                chain.input_temperature(1.0, f_signal, F_SIGNAL, through=through)
+    for f_idler in (0.0, -5e9):
+        with pytest.raises(DomainError, match="carrier frequency must be positive"):
+            chain.input_temperature(1.0, F_SIGNAL, f_idler)
+    # The idler carrier is not read through the 50-ohm through.
+    assert chain.input_temperature(1.0, F_SIGNAL, 0.0, through=True) == chain.input_temperature(1.0, F_SIGNAL, through=True)

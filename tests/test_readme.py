@@ -1,5 +1,5 @@
-"""The README's worked examples run, and its list of reproduce ids is the
-fixture table's."""
+"""The README's worked examples run, its list of reproduce ids is the
+fixture table's, and it names every config key."""
 
 import re
 import shlex
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from kipa_lab import cli
+from kipa_lab.config import SCHEMA
 from kipa_lab.reproduce import FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +50,9 @@ def test_worked_example_exits_0(tmp_path, capsys, argv):
 def test_readme_lists_every_fixture_id_in_order():
     paragraph = _after("The ids, in report order:").strip().split("\n\n")[0]
     assert re.findall(r"`([^`]+)`", paragraph) == list(FIXTURES)
+
+
+def test_readme_names_every_config_key():
+    missing = [f"{block}: {key}" for block, keys in SCHEMA.items() for key in keys
+               if not re.search(rf"\b{re.escape(key)}\b", README)]
+    assert not missing, f"the README never names {len(missing)} SCHEMA keys: {', '.join(missing)}"
