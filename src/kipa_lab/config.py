@@ -1,8 +1,8 @@
 """Configuration ingestion: the config format as one schema table, the
 reader that checks a block against it, the parsers that build library
-objects from checked blocks, the CLI's number flags and the canonical
-config hash.  Each parser imports the class it builds when it runs, so a
-config loads no law it skips.
+objects from checked blocks, the CLI's number flags and the one reader of
+sweep CSV files.  Each parser imports the class it builds when it runs, so
+a config loads no law it skips.
 
 All dB fields end in ``_db`` (power convention), SI fields carry their unit
 as a suffix.  Each block is read only under its own name; measured sweeps
@@ -11,11 +11,10 @@ are CSV files named by a ``sweep_file`` key, relative to the config file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, FitError
 from .quantities import REFERENCE_F_SIGNAL, REFERENCE_T_KIPA
 
 #: Upper bound of every count and list length: points per sweep.
@@ -64,13 +63,6 @@ def natural(s: str) -> int:
     if (v := int(s)) < 0:
         raise ValueError(f"negative value {s!r}")
     return v
-
-
-def config_hash(cfg: dict) -> str:
-    """SHA-256 of the canonical (sorted-key, compact) JSON encoding; stable
-    under key reordering of the source document."""
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------- value kinds
@@ -407,7 +399,7 @@ def parse_cavity(d: dict) -> PumpedCavity:
 
 
 def parse_pump_map(d: dict) -> PumpMap:
-    from .synthetic import PumpMap
+    from .io_dynamics import PumpMap
     return _build(PumpMap, "map", read(d, "pump map", "map"))
 
 
@@ -427,8 +419,46 @@ def parse_temp_model(d: dict) -> TempModel:
 
 
 def read_sweep(path) -> SweepRecord:
+    """The x,y[,sigma_y] rows of the sweep CSV at ``path``, after an optional
+    header, skipping '#' comments.  A file that is not readable CSV text or
+    has no data rows, a row of fewer than two or more than three cells, a
+    cell that is not a finite number, a sigma_y blank on some rows only, or
+    one that SweepRecord rejects is a ConfigError naming the file (and line)."""
+    import csv
     from .fitkit import SweepRecord
     try:
-        return SweepRecord.from_csv(path)
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # not there, not UTF-8 text, or a cell beyond csv's field limit
         raise ConfigError(f"cannot read sweep {path}: {exc}") from exc
+    try:
+        float(rows[0][1][0])
+    except (IndexError, ValueError):  # no rows, or a header
+        rows = rows[1:]
+    xs, ys, ss, blank = [], [], [], []
+    for line, r in rows:
+        if len(r) > 3:
+            raise ConfigError(f"sweep {path} line {line}: expected x,y[,sigma_y], got {len(r)} cells")
+        try:
+            xs.append(finite(r[0]))
+            ys.append(finite(r[1]))
+            if len(r) == 3 and r[2].strip():
+                ss.append(finite(r[2]))
+            else:
+                blank.append(line)
+        except (IndexError, ValueError):
+            raise ConfigError(f"sweep {path} line {line}: expected finite numeric x,y[,sigma_y], got {','.join(r)!r}") from None
+    if not xs:
+        raise ConfigError(f"empty sweep file {path}: no data rows")
+    if ss and blank:
+        raise ConfigError(f"sweep {path} line {blank[0]}: sigma_y is blank here but given on other rows")
+    try:
+        return SweepRecord(xs, ys, ss or None)
+    except FitError:  # SweepRecord's sigma_y rule, applied one row at a time to find the first it rejects
+        for (line, _), s in zip(rows, ss):
+            try:
+                SweepRecord([0.0], [0.0], [s])
+            except FitError as exc:
+                raise ConfigError(f"sweep {path} line {line}: {exc}") from None
+        raise

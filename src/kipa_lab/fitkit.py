@@ -9,14 +9,12 @@ The tolerances are module constants so every run uses the same ones.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import finite
-from .errors import ConfigError, DomainError, FitError, RankError
+from .errors import DomainError, FitError, RankError
 from .report import write_csv
 
 
@@ -60,42 +58,6 @@ class SweepRecord:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             write_csv(fh, ["x", "y", "sigma_y"], [self.x, self.y, [""] * len(self) if self.sigma_y is None else self.sigma_y])
-
-    @classmethod
-    def from_csv(cls, path) -> "SweepRecord":
-        """Read x,y[,sigma_y] rows; an optional header and '#' comment lines
-        are skipped.  A file without data rows, a short, non-numeric or
-        non-finite row, or a sigma_y left blank on some rows but not all
-        raises ConfigError naming the file (and the line)."""
-        xs, ys, ss, blank = [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
-        start = 1 if rows and not _is_number(rows[0][1][0]) else 0  # optional header
-        for line, r in rows[start:]:
-            try:
-                xs.append(finite(r[0]))
-                ys.append(finite(r[1]))
-                if len(r) > 2 and r[2].strip():
-                    ss.append(finite(r[2]))
-                else:
-                    blank.append(line)
-            except (IndexError, ValueError):
-                raise ConfigError(f"sweep {path} line {line}: expected finite numeric x,y[,sigma_y], got {','.join(r)!r}") from None
-        if not xs:
-            raise ConfigError(f"empty sweep file {path}: no data rows")
-        if ss and blank:
-            raise ConfigError(f"sweep {path} line {blank[0]}: sigma_y is blank here but given on other rows")
-        sigma = np.array(ss) if ss else None
-        return cls(np.array(xs), np.array(ys), sigma)
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 @dataclass

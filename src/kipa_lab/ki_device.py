@@ -62,8 +62,8 @@ class ResonatorParams:
             raise DomainError("clem_exponent must be positive")
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError("alpha must be in (0, 1]")
-        if self.l_k0 > self.l_t:
-            raise DomainError("kinetic inductance cannot exceed total inductance")
+        if not 0.0 < self.l_k0 <= self.l_t:
+            raise DomainError(f"require 0 < l_k0 <= l_t, not l_k0 = {self.l_k0:g} H and l_t = {self.l_t:g} H")
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,6 @@ def self_kerr(res: ResonatorParams, f_r: float) -> float:
     5.7 GHz; evaluating with angular frequency throughout gives a value
     2*pi larger (about -0.82 Hz) and is deliberately not used.
     """
-    if res.l_t <= 0.0 or res.i_star <= 0.0:
-        raise DomainError("need positive total inductance and critical current")
     return -0.375 * HBAR * f_r**2 / (res.l_t * res.i_star**2)
 
 

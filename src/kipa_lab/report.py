@@ -8,6 +8,7 @@ byte-identical result document.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import config_hash
 from .errors import DomainError
 
 
@@ -61,6 +61,13 @@ class Table(dict):
         except ValueError:
             json.dumps(list(zip(*values.values())), indent=2, allow_nan=False)
             raise
+
+
+def config_hash(cfg: dict) -> str:
+    """SHA-256 of the canonical (sorted-key, compact) JSON encoding; stable
+    under key reordering of the source document."""
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=True)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def make_bundle(command: str, inputs: dict, results: dict, residuals: Optional[dict] = None) -> dict:

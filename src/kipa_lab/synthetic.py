@@ -12,7 +12,6 @@ plants, the one the gain command already computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,43 +141,6 @@ def field_shift_sweep(
     return _with_noise(b_values_t, y, rng, noise_abs=noise_abs), {"theta_b_rad": model.theta_b}
 
 
-@dataclass(frozen=True)
-class PumpMap:
-    """Peak gain over the plane of pump frequency and pump power.
-
-    The pump power sets |xi| through an amplitude coupling
-    |xi|/2pi = xi_hz_per_sqrt_mw * sqrt(P/1 mW); the detuning follows the
-    pump frequency as Delta/2pi = f_r - f_pump/2.
-    """
-
-    kappa_hz: float
-    gamma_hz: float
-    f_r_hz: float
-    xi_hz_per_sqrt_mw: float
-
-    def __post_init__(self):
-        if not self.kappa_hz > 0.0:
-            raise DomainError("kappa must be positive")
-        if not self.gamma_hz >= 0.0:
-            raise DomainError("gamma must be non-negative")
-        if not self.xi_hz_per_sqrt_mw > 0.0:
-            raise DomainError("coupling must be positive")
-
-    def peak_gain_db(self, f_pump_hz, p_pump_dbm, floor_db=-math.inf) -> np.ndarray:
-        """Peak gain in dB on broadcast arrays of pump frequency (Hz) and
-        power (dBm), NaN in the self-oscillation regime, with a bound below
-        ``floor_db`` in place of a peak below it (io_dynamics.peak_gain_db);
-        the grid evaluator of io_dynamics.find_optimal_pump.  A power too
-        large for a double gives an infinite |xi|, which self-oscillates."""
-        from .io_dynamics import peak_gain_db
-        f_pump_hz = np.asarray(f_pump_hz, dtype=float)
-        if np.any(f_pump_hz <= 0.0):
-            raise DomainError("pump frequency must be positive")
-        with np.errstate(over="ignore"):
-            xi_hz = self.xi_hz_per_sqrt_mw * 10.0 ** (np.asarray(p_pump_dbm, dtype=float) / 20.0)
-        return peak_gain_db(self.kappa_hz, self.gamma_hz, self.f_r_hz - f_pump_hz / 2.0, xi_hz, floor_db)
-
-
 def pump_gain_map(
     kappa_hz: float,
     gamma_hz: float,
@@ -186,6 +148,7 @@ def pump_gain_map(
     xi_hz_per_sqrt_mw: float,
 ) -> Callable[[float, float], float]:
     """Scalar view (f_pump_hz, p_pump_dbm) -> peak gain in dB of
-    PumpMap.peak_gain_db, NaN in the self-oscillation regime."""
+    io_dynamics.PumpMap.peak_gain_db, NaN in the self-oscillation regime."""
+    from .io_dynamics import PumpMap
     law = PumpMap(kappa_hz, gamma_hz, f_r_hz, xi_hz_per_sqrt_mw).peak_gain_db
     return lambda f_pump_hz, p_pump_dbm: float(law(f_pump_hz, p_pump_dbm))

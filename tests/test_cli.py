@@ -53,7 +53,7 @@ def test_design_degenerate_impedances_warns_but_succeeds(tmp_path, capsys):
 
 
 def test_config_hash_stable_under_key_reordering():
-    from kipa_lab.config import config_hash
+    from kipa_lab.report import config_hash
 
     a = {"alpha": 1, "nested": {"x": [1, 2], "y": "s"}}
     b = {"nested": {"y": "s", "x": [1, 2]}, "alpha": 1}
@@ -153,6 +153,19 @@ def test_tune_zero_current(capsys):
     code, doc = run_json(capsys, "tune", "--config", str(CONFIGS / "device.json"), "--current", "0")
     assert code == 0
     assert doc["results"]["f_hz"] == pytest.approx(5.75e9, rel=1e-12)
+
+
+@pytest.mark.parametrize("l_k0, l_t", [(-1e-9, 0.0), (0.0, 0.0), (0.0, 8.24e-8), (9e-8, 8.24e-8)],
+                         ids=["negative", "both-zero", "zero-kinetic", "kinetic-above-total"])
+def test_tune_inductances_out_of_order_exit_2(tmp_path, capsys, l_k0, l_t):
+    doc = json.loads((CONFIGS / "device.json").read_text())
+    doc["device"]["resonator"].update(l_k0_h=l_k0, l_t_h=l_t)
+    cfg = tmp_path / "device.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["tune", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: bad device.resonator: require 0 < l_k0 <= l_t") and err.count("\n") == 1
 
 
 def test_tune_synthetic_recovers_critical_current(capsys):
@@ -349,8 +362,12 @@ def test_compression_flat_sweep_exits_3(tmp_path, capsys):
         ("x,y,sigma_y\n1,2,0.1\n2,3,\n3,4,0.1\n", 3),
         ("x,y\n-110,21\n-100,nan\n-90,19\n", 3),
         ("x,y,sigma_y\n-110,21,0.1\n-100,20.5,0.1\n-90,-inf,0.1\n", 4),
+        ("x,y,sigma_y\n-110,21,0.1\n-100,20.5,0\n-90,19,0.1\n", 3),
+        ("x,y,sigma_y\n-110,21,0.1\n-100,20.5,0.1\n-90,19,1e-200\n", 4),
+        ("x,re_y,im_y,sigma_y\n-110,21,0.5,0.1\n-100,20.5,0.5,0.1\n", 2),
     ],
-    ids=["short-row", "non-numeric-cell", "sigma-blank-on-some-rows", "nan-cell", "inf-cell"],
+    ids=["short-row", "non-numeric-cell", "sigma-blank-on-some-rows", "nan-cell", "inf-cell", "zero-sigma",
+         "sigma-without-finite-weight", "four-cells"],
 )
 def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
     (tmp_path / "bad.csv").write_text(text)
@@ -361,6 +378,17 @@ def test_malformed_sweep_csv_exits_2(tmp_path, capsys, text, line):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("configuration error:")
     assert str(tmp_path / "bad.csv") in err[0] and f"line {line}" in err[0]
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe1,2\n", b"x,y\n1," + b"1" * 200000 + b"\n"], ids=["not-utf8", "cell-beyond-field-limit"])
+def test_unreadable_sweep_exits_2_in_one_line(tmp_path, capsys, data):
+    (tmp_path / "bad.csv").write_bytes(data)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"small_signal_gain_db": 21.0, "sweep_file": "bad.csv"}))
+    code = cli.main(["compression", "--config", str(cfg)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"configuration error: cannot read sweep {tmp_path / 'bad.csv'}: ")
 
 
 def test_sweep_sigma_beyond_the_weight_range_exits_4_in_one_line(tmp_path, capsys):

@@ -119,7 +119,7 @@ COLD_CASES = [
     ("tune --synthetic", ["tune", "--config", "configs/device.json", "--synthetic"], {"ki_device", "synthetic"}, True),
     ("gain", ["gain", "--config", "configs/gain.json"], {"io_dynamics"}, True),
     ("gain --synthetic", ["gain", "--config", "configs/gain.json", "--synthetic"], {"io_dynamics", "synthetic"}, True),
-    ("pump-search", ["pump-search", "--config", "configs/pump_search.json"], {"io_dynamics", "synthetic"}, True),
+    ("pump-search", ["pump-search", "--config", "configs/pump_search.json"], {"io_dynamics"}, True),
     ("compression --synthetic", ["compression", "--config", "configs/compression.json", "--synthetic"], {"io_dynamics", "synthetic"}, True),
     ("noise-fit --synthetic", ["noise-fit", "--config", "configs/chain.json", "--synthetic"], {"noise_cal", "synthetic"}, True),
     ("hemt-fit --synthetic", ["hemt-fit", "--config", "configs/chain.json", "--synthetic"], {"noise_cal", "synthetic"}, True),

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import curve_fit
 
 from kipa_lab import fitkit, io_dynamics, synthetic
+from kipa_lab.config import read_sweep
 from kipa_lab.errors import DomainError, FitError, RankError
 from kipa_lab.fitkit import SweepRecord, _numeric_jacobian, linear_fit, nlls_fit, proportional_fit
 
@@ -227,7 +228,7 @@ def test_sweep_record_csv_round_trip(tmp_path):
     data = SweepRecord(np.array([1.0, 2.0]), np.array([3.5, -1.25]), np.array([0.1, 0.2]))
     path = tmp_path / "sweep.csv"
     data.to_csv(path)
-    back = SweepRecord.from_csv(path)
+    back = read_sweep(path)
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.sigma_y, data.sigma_y)

@@ -9,6 +9,7 @@ from kipa_lab.fitkit import SweepRecord
 from kipa_lab.io_dynamics import (
     GainCurve,
     PumpedCavity,
+    PumpMap,
     compression_point,
     degenerate_gain,
     find_optimal_pump,
@@ -24,7 +25,7 @@ from kipa_lab.io_dynamics import (
     transmission_deamp,
 )
 from kipa_lab.quantities import n_kappa2_term
-from kipa_lab.synthetic import PumpMap, compression_sweep, pump_gain_map
+from kipa_lab.synthetic import compression_sweep, pump_gain_map
 
 F_PUMP = 1.1347e10
 F_HALF = F_PUMP / 2.0

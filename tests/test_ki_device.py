@@ -206,6 +206,9 @@ def test_type_invariants():
         ResonatorParams(l_k0=1e-9, l_t=2e-9, i_star=1e-4, i_sw=2e-4)  # i_sw > i_star
     with pytest.raises(DomainError):
         ResonatorParams(l_k0=3e-9, l_t=2e-9, i_star=2e-4, i_sw=1e-4)  # l_k0 > l_t
+    for l_k0, l_t in [(-1e-9, 0.0), (0.0, 0.0), (0.0, 2e-9)]:
+        with pytest.raises(DomainError, match="require 0 < l_k0 <= l_t"):
+            ResonatorParams(l_k0=l_k0, l_t=l_t, i_star=2e-4, i_sw=1e-4)
     with pytest.raises(DomainError):
         ResonatorParams(l_k0=1e-9, l_t=2e-9, i_star=2e-4, i_sw=1e-4, alpha=1.5)
     with pytest.raises(DomainError):

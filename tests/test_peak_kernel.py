@@ -26,8 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kipa_lab import io_dynamics
-from kipa_lab.io_dynamics import find_optimal_pump, peak_gain_db
-from kipa_lab.synthetic import PumpMap
+from kipa_lab.io_dynamics import PumpMap, find_optimal_pump, peak_gain_db
 from reference.peak_gain_16 import peak_gain_db as reference_peak_gain_db
 from test_io_dynamics import PUMP_CASES
 
