@@ -105,6 +105,12 @@ def _sweep(args, c: dict, plant):
     return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
 
 
+def _keyed(exc: DomainError, keys: dict) -> DomainError:
+    """exc, or, when keys maps the argument it names (exc.arg) to a config
+    key, a DomainError whose message starts with that key."""
+    return DomainError(f"{keys[exc.arg]}: {exc}") if exc.arg in keys else exc
+
+
 def cmd_design(args) -> int:
     from . import microwave_net
     cfg, c = _load_config(args)
@@ -233,7 +239,11 @@ def cmd_noise_fit(args) -> int:
     from . import noise_cal, synthetic
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
-    sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
+    try:  # only the plant reads the source law; a measured sweep is of T_in
+        sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
+    except DomainError as exc:
+        keys = {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz"}
+        raise _keyed(exc, keys) from None
     fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     residual_k = sweep.y / chain.watts_per_kelvin - chain.output_temperature(sweep.x, fit.t_add)
@@ -247,8 +257,12 @@ def cmd_hemt_fit(args) -> int:
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     f_signal = c["f_signal_hz"]
-    sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn))
-    fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"])
+    try:
+        sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn))
+        fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"])
+    except DomainError as exc:
+        source = "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"
+        raise _keyed(exc, {"t_vts": source, "f_signal": "f_signal_hz"}) from None
     results = {"t_hemt_k": fit.t_hemt, "t_hemt_sigma_k": fit.t_hemt_sigma, "slope": fit.slope}
     return _emit(args, cfg, results, truth=truth, sweep=sweep)
 

@@ -42,7 +42,7 @@ def load_json(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_constant=reject, parse_float=double, parse_int=integer)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # not there, or not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

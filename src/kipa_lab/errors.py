@@ -26,7 +26,13 @@ class ExtractionError(FitError):
 
 
 class DomainError(KipaLabError, ValueError):
-    """Input outside the physical or mathematical domain of an operation."""
+    """Input outside the physical or mathematical domain of an operation.
+    ``arg``, when given, names the argument at fault, so that a caller can
+    name the input it came from."""
+
+    def __init__(self, *args, arg=None):
+        super().__init__(*args)
+        self.arg = arg
 
 
 class SingularityError(DomainError):

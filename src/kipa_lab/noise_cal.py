@@ -135,14 +135,15 @@ class ReceiverChain:
         in line, its idler converted at g - 1; 2*eta_e*T_s through the 50-ohm
         through, whose losses are passed down and back up.  T_f is the coth
         law at carrier f; f_idler is read with the device in line only.
-        Every t_vts and each carrier read must be positive."""
+        Every t_vts and each carrier read must be positive; a DomainError
+        names the argument at fault as its ``arg``."""
         import numpy as np
         t_vts = np.asarray(t_vts, dtype=float)
         if not np.all(t_vts > 0.0):
-            raise DomainError(f"source temperature must be positive, not {t_vts[~(t_vts > 0.0)].flat[0]:g} K")
-        for f in (f_signal,) if through else (f_signal, f_idler):
+            raise DomainError(f"source temperature must be positive, not {t_vts[~(t_vts > 0.0)].flat[0]:g} K", arg="t_vts")
+        for arg, f in (("f_signal", f_signal),) if through else (("f_signal", f_signal), ("f_idler", f_idler)):
             if not f > 0.0:
-                raise DomainError(f"carrier frequency must be positive, not {f:g} Hz")
+                raise DomainError(f"carrier frequency must be positive, not {f:g} Hz", arg=arg)
         t_s = _half_quantum_coth(f_signal, t_vts)
         if through:
             return 2.0 * self.eta_e * t_s

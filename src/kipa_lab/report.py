@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import os
 from functools import cached_property
 from typing import Optional, Sequence
@@ -25,11 +24,28 @@ def float_column(col) -> bool:
     return getattr(getattr(col, "dtype", None), "kind", None) == "f"
 
 
+def float_cells(col) -> list:
+    """Each cell of a float array as float.__repr__ writes it, from one orjson
+    call: orjson's shortest round-trip digits are repr's for zero and for
+    1e-4 <= |x| < 1e16.  repr writes the other cells, where orjson's layout
+    differs (0.00001 and 1e16 for repr's 1e-05 and 1e+16, null for nan)."""
+    import numpy as np
+    import orjson
+    col = np.ascontiguousarray(col, dtype=float)
+    if not col.size:
+        return []
+    cells = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(col)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16) | (col == 0.0))).tolist():
+        cells[i] = float.__repr__(float(col[i]))
+    return cells
+
+
 def _csv_cells(col) -> list:
-    """A float array's cells as float.__repr__; any other cell as str() (None
-    as empty), quoted where it holds a comma, a quote or a line break."""
+    """A float array's cells as float.__repr__ (float_cells); any other cell as
+    str() (None as empty), quoted where it holds a comma, a quote or a line break."""
     if float_column(col):
-        return list(map(float.__repr__, col.tolist()))
+        return float_cells(col)
     cells = ["" if v is None else str(v) for v in col]
     text = "".join(cells)
     if any(c in text for c in ',"\r\n'):
@@ -52,15 +68,24 @@ class Table(dict):
 
     @cached_property
     def cells(self) -> dict:
-        """name -> JSON cell texts, names sorted; float.__repr__ is what json and
-        csv.writer write for a float.  A NaN or inf raises json's ValueError."""
-        values = {k: self[k].tolist() if float_column(self[k]) else list(self[k]) for k in sorted(self)}
+        """name -> JSON cell texts, names sorted; float.__repr__ (float_cells) is
+        what json and csv.writer write for a float.  A NaN or inf raises json's ValueError."""
         try:  # json.dumps raises at a non-finite cell; the dump in row order names the first one
-            return {k: list(map(float.__repr__, v)) if float_column(self[k]) and all(map(math.isfinite, v))
-                    else [json.dumps(c, allow_nan=False) for c in v] for k, v in values.items()}
+            return {k: _json_cells(self[k]) for k in sorted(self)}
         except ValueError:
-            json.dumps(list(zip(*values.values())), indent=2, allow_nan=False)
+            json.dumps(list(zip(*(self[k].tolist() if float_column(self[k]) else self[k] for k in sorted(self)))),
+                       indent=2, allow_nan=False)
             raise
+
+
+def _json_cells(col) -> list:
+    """A column's JSON cell texts; json.dumps raises at a non-finite cell."""
+    if float_column(col):
+        import numpy as np
+        if np.isfinite(col).all():
+            return float_cells(col)
+        col = col.tolist()
+    return [json.dumps(c, allow_nan=False) for c in col]
 
 
 def config_hash(cfg: dict) -> str:

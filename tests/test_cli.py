@@ -115,6 +115,7 @@ def _edited(config, value, *path):
         (["chain-propagate"], _edited("chain.json", True, "chain", "elements", 0, "value_db"), "chain.elements[0].value_db"),
         (["gain"], (CONFIGS / "gain.json").read_text().replace('"span_hz": 4.0e8', '"span_hz": 1e400'), "1e400"),
         (["gain"], (CONFIGS / "gain.json").read_text().replace('"gamma_hz": 1.0e6', '"gamma_hz": 1' + "0" * 400), "finite double"),
+        (["design"], b"\xff\xfe{}", "cannot read config"),
     ],
     ids=[
         "top-level-array",
@@ -136,11 +137,12 @@ def _edited(config, value, *path):
         "boolean-number",
         "overflowing-float-literal",
         "overflowing-int-literal",
+        "not-utf8",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, argv, text, named):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = cli.main([*argv, "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert code == 2
@@ -818,18 +820,24 @@ NEGATIVE_VTS_SWEEP = "-1.0,1e-15\n0.3,2e-15\n0.9,3e-15\n2.0,4e-15\n"
 @pytest.mark.parametrize(
     "argv, value, path, code, message",
     [
-        (["hemt-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4, "domain error: source temperature must be positive, not -1 K"),
-        (["hemt-fit"], "vts.csv", ("sweep_file",), 4, "domain error: source temperature must be positive, not -1 K"),
-        (["noise-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4, "domain error: source temperature must be positive, not -1 K"),
-        (["hemt-fit", "--synthetic"], 0, ("f_signal_hz",), 4, "domain error: carrier frequency must be positive, not 0 Hz"),
-        (["hemt-fit"], 0, ("f_signal_hz",), 4, "domain error: carrier frequency must be positive, not 0 Hz"),
-        (["noise-fit", "--synthetic"], 0, ("synthetic", "f_idler_hz"), 4, "domain error: carrier frequency must be positive, not 0 Hz"),
-        (["hemt-fit", "--synthetic"], -5e9, ("f_signal_hz",), 4, "domain error: carrier frequency must be positive, not -5e+09 Hz"),
+        (["hemt-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4,
+         "domain error: synthetic.t_vts_k: source temperature must be positive, not -1 K"),
+        (["hemt-fit"], "vts.csv", ("sweep_file",), 4, "domain error: sweep_file vts.csv: source temperature must be positive, not -1 K"),
+        (["noise-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4,
+         "domain error: synthetic.t_vts_k: source temperature must be positive, not -1 K"),
+        (["hemt-fit", "--synthetic"], 0, ("f_signal_hz",), 4, "domain error: f_signal_hz: carrier frequency must be positive, not 0 Hz"),
+        (["hemt-fit"], 0, ("f_signal_hz",), 4, "domain error: f_signal_hz: carrier frequency must be positive, not 0 Hz"),
+        (["noise-fit", "--synthetic"], 0, ("synthetic", "f_idler_hz"), 4,
+         "domain error: synthetic.f_idler_hz: carrier frequency must be positive, not 0 Hz"),
+        (["noise-fit", "--synthetic"], 0, ("synthetic", "f_signal_hz"), 4,
+         "domain error: synthetic.f_signal_hz: carrier frequency must be positive, not 0 Hz"),
+        (["hemt-fit", "--synthetic"], -5e9, ("f_signal_hz",), 4,
+         "domain error: f_signal_hz: carrier frequency must be positive, not -5e+09 Hz"),
         (["hemt-fit", "--synthetic"], [5e-324, 1.0], ("synthetic", "t_vts_k"), 0, None),
         (["noise-fit", "--synthetic"], [5e-324, 1.0], ("synthetic", "t_vts_k"), 0, None),
     ],
     ids=["hemt-synthetic-negative-source", "hemt-measured-negative-source", "noise-synthetic-negative-source",
-         "hemt-synthetic-zero-carrier", "hemt-measured-zero-carrier", "noise-synthetic-zero-idler",
+         "hemt-synthetic-zero-carrier", "hemt-measured-zero-carrier", "noise-synthetic-zero-idler", "noise-synthetic-zero-signal",
          "hemt-synthetic-negative-carrier", "hemt-subnormal-source", "noise-subnormal-source"],
 )
 def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_path, argv, value, path, code, message):

@@ -12,7 +12,8 @@ under ``-X importtime``, pin the kipa_lab modules each one loads, and whether it
 loads numpy at all; ``design``, ``squeeze``, ``chain-propagate`` and plain
 ``tune`` do not.  The same runs pin what a run loads only for the work that
 needs it: numpy's RNG only where it draws noise, the fit engine only where it
-fits, and ``logging`` only for a record that passes KIPA_LAB_LOG, unset here.
+fits, ``logging`` only for a record that passes KIPA_LAB_LOG, unset here, and
+orjson only where a float column is encoded (a residual table).
 A ``kipa-lab`` process runs ``cli.run``: it ends with the cyclic collector off
 and its heap frozen, a closed stdout ends it with exit 141 and no stderr, and
 a closed stderr loses the error line but not the exit code.  In-process
@@ -131,9 +132,11 @@ COLD_CASES = [
     ("device-temp", ["device-temp", "--config", "configs/temp.json"], {"env_models"}, True),
     ("reproduce all", ["reproduce", "all"], LAWS, True),
 ]
-# The runs that draw noise (the other plants are noiseless), and the runs that fit.
+# The runs that draw noise (the other plants are noiseless), the runs that fit, and the runs whose
+# bundle holds a float column (no run here writes --out, so curve.csv and sweep.csv are not written).
 DRAWS = {"tune --synthetic", "gain --synthetic"}
 FITS = DRAWS | {"compression --synthetic", "noise-fit --synthetic", "hemt-fit --synthetic", "field-shift --synthetic", "reproduce all"}
+FLOAT_COLUMNS = DRAWS | {"noise-fit --synthetic", "temp-shift"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,6 +156,11 @@ def test_numpy_rng_loads_only_to_draw():
 
 def test_fit_engine_loads_only_to_fit():
     assert _cases_loading("kipa_lab.fitkit") == FITS
+
+
+def test_orjson_loads_only_to_encode_a_float_column():
+    assert "orjson" not in _imported(_run("-X", "importtime", "-c", "import kipa_lab.cli").stderr)
+    assert _cases_loading("orjson") == FLOAT_COLUMNS
 
 
 def test_default_log_level_loads_no_logging():

@@ -348,17 +348,21 @@ def test_chain_element_validation():
 
 
 def test_vts_setpoint_validation():
-    # One check for both configurations: every source temperature and each carrier read is positive.
+    # One check for both configurations: every source temperature and each carrier read is positive,
+    # and the error names the argument at fault.
     chain = reference_chain()
     for through in (False, True):
         for t_vts in (0.0, -1.0, math.nan, [1.0, -1.0], [0.5, 0.0]):
-            with pytest.raises(DomainError, match="source temperature must be positive"):
+            with pytest.raises(DomainError, match="source temperature must be positive") as err:
                 chain.input_temperature(t_vts, F_SIGNAL, F_SIGNAL, through=through)
+            assert err.value.arg == "t_vts"
         for f_signal in (0.0, -5e9, math.nan):
-            with pytest.raises(DomainError, match="carrier frequency must be positive"):
+            with pytest.raises(DomainError, match="carrier frequency must be positive") as err:
                 chain.input_temperature(1.0, f_signal, F_SIGNAL, through=through)
+            assert err.value.arg == "f_signal"
     for f_idler in (0.0, -5e9):
-        with pytest.raises(DomainError, match="carrier frequency must be positive"):
+        with pytest.raises(DomainError, match="carrier frequency must be positive") as err:
             chain.input_temperature(1.0, F_SIGNAL, f_idler)
+        assert err.value.arg == "f_idler"
     # The idler carrier is not read through the 50-ohm through.
     assert chain.input_temperature(1.0, F_SIGNAL, 0.0, through=True) == chain.input_temperature(1.0, F_SIGNAL, through=True)

@@ -9,6 +9,12 @@ for the same table as a list of row objects, and write_csv and
 residuals.csv the bytes csv.writer writes for the same rows.  A NaN or an
 infinity anywhere in a table is a DomainError with the message json's own
 error gives.
+
+report.float_cells, the float-cell writer behind both encoders, is checked
+cell for cell against float.__repr__ itself: over arbitrary finite float64
+arrays, at the edges of the range where it takes orjson's digits, and for
+float32, strided, empty and non-finite columns.  A change of orjson's float
+layout fails here, not only in the golden digests.
 """
 
 import csv
@@ -20,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kipa_lab import report
 from kipa_lab.errors import DomainError
@@ -136,3 +143,45 @@ def test_one_row_one_column(tmp_path, cell):
     assert _write_csv_text(["c"], columns) == _csv_writer_text(["c"], columns)
     report.write_bundle(bundle, str(tmp_path), text, None)
     assert (tmp_path / "residuals.csv").read_bytes().decode() == _csv_writer_text(["c"], columns)
+
+
+def _repr_cells(col) -> list:
+    return [float.__repr__(v) for v in np.asarray(col, dtype=float).tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_float_cells_are_float_repr(col):
+    assert report.float_cells(col) == _repr_cells(col)
+
+
+# orjson's digits are taken for zero and 1e-4 <= |x| < 1e16; repr writes the cells on either side.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+         *(np.nextafter(edge, toward) for edge in (1e-4, 1e16) for toward in (0.0, np.inf)), 1e-4, 1e16, -1e-4, -1e16,
+         1e-5, 1e15, 0.1, 1.0, 2.0**53]
+
+
+def test_float_cells_at_the_edges_of_orjson_digits():
+    col = np.array(EDGES)
+    assert report.float_cells(col) == _repr_cells(col)
+    assert report.float_cells(-col) == _repr_cells(-col)
+
+
+def test_float_cells_of_float32_strided_and_empty_columns():
+    # A float32 cell is written as its double, as tolist gives it: 0.1 as 0.10000000149011612.
+    from kipa_lab.io_dynamics import GainCurve, PumpedCavity
+    single = np.array([0.1, 1e-5, 3.4028235e38, 1.5, 2.0**-149, 123456.7], dtype=np.float32)
+    cav = PumpedCavity(kappa=2e7, gamma=1e6, delta=0.0, xi=1.5e7, f_pump=1.2e10)
+    curve = GainCurve.from_cavity(cav, np.linspace(5.9e9, 6.1e9, 41))
+    assert not curve.complex_gain.real.flags["C_CONTIGUOUS"]
+    for col in (single, curve.complex_gain.real, curve.complex_gain.imag, np.arange(20.0)[::3]):
+        assert report.float_cells(col) == _repr_cells(col)
+    assert report.float_cells(np.array([])) == []
+
+
+def test_non_finite_float_cells_are_repr_in_csv_and_an_error_in_json():
+    col = np.array([1.5, float("nan"), float("inf"), -float("inf"), 1e-7])
+    assert report.float_cells(col) == ["1.5", "nan", "inf", "-inf", "1e-07"]
+    assert _write_csv_text(["c"], [col]) == _csv_writer_text(["c"], [col]) == "c\r\n1.5\r\nnan\r\ninf\r\n-inf\r\n1e-07\r\n"
+    with pytest.raises(DomainError, match="non-finite number"):
+        report.bundle_json(_bundle(["c"], [col]))
