@@ -241,10 +241,11 @@ def cmd_noise_fit(args) -> int:
     chain = cfgmod.parse_chain(c["chain"])
     try:  # only the plant reads the source law; a measured sweep is of T_in
         sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
+        fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
     except DomainError as exc:
-        keys = {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz"}
+        keys = {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz",
+                "t_in": "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"}
         raise _keyed(exc, keys) from None
-    fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     residual_k = sweep.y / chain.watts_per_kelvin - chain.output_temperature(sweep.x, fit.t_add)
     residuals = dict(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=residual_k)
@@ -314,11 +315,18 @@ def cmd_field_shift(args) -> int:
     model = cfgmod.parse_field_model(c["field_model"])
 
     def plant(syn, rng):
-        b = np.linspace(syn["b_min_t"], syn["b_max_t"], syn["n_points"])
+        with np.errstate(over="raise"):  # b_max_t - b_min_t overflows
+            b = np.linspace(syn["b_min_t"], syn["b_max_t"], syn["n_points"])
         return synthetic.field_shift_sweep(model, b, syn["noise_abs"], rng)
 
-    sweep, truth = _sweep(args, c, plant)
-    fit = env_models.fit_field_shift(sweep, model, **c["fit"])
+    try:
+        sweep, truth = _sweep(args, c, plant)
+        fit = env_models.fit_field_shift(sweep, model, **c["fit"])
+    except ArithmeticError:  # B^2, or a sum of the fit, overflows
+        syn = c["synthetic"]
+        source = (f"synthetic.b_min_t = {syn['b_min_t']:g} T and synthetic.b_max_t = {syn['b_max_t']:g} T put"
+                  if args.synthetic else f"sweep_file {c['sweep_file']} puts")
+        raise DomainError(f"{source} the field shift out of float range") from None
     results = {
         "curvature_per_t2": fit.curvature,
         "curvature_sigma_per_t2": fit.curvature_sigma,

@@ -201,7 +201,6 @@ SCHEMA = {
         "critical_temperature_k": (NUMBER, REQUIRED, "t_c"),
         "center_width_m": (NUMBER, REQUIRED, "center_width"),
         "theta_b_rad": (NUMBER, OPTIONAL, "theta_b"),
-        "b_c_parallel_t": (NUMBER, OPTIONAL, "b_c_parallel"),
         "delta_0_j": (NUMBER, OPTIONAL, "delta_0"),
     },
     "temp_model": {

@@ -1,8 +1,8 @@
 """Environmental response of the resonator: magnetic field and temperature.
 
-Field side: square-root suppression of the superconducting gap and the
-quadratic parallel-field frequency-shift law for a thin diffusive film,
-including the misalignment term that couples to the conductor width.
+Field side: the quadratic parallel-field frequency-shift law for a thin
+diffusive film, including the misalignment term that couples to the
+conductor width.
 
 Temperature side: the two-level-system (TLS) dispersive shift, which needs
 the complex digamma function, plus the dirty-limit kinetic-inductance term
@@ -50,7 +50,6 @@ class FieldModel:
     t_c: float  # K
     center_width: float  # m, resonator center conductor width
     theta_b: float = 0.0  # rad, field misalignment out of plane
-    b_c_parallel: Optional[float] = None  # T, critical field (fitted/derived)
     delta_0: Optional[float] = None  # J, zero-field gap; default BCS ratio
 
     def __post_init__(self):
@@ -69,18 +68,6 @@ class FieldModel:
         if self.delta_0 is not None:
             return self.delta_0
         return BCS_GAP_RATIO * BOLTZMANN * self.t_c
-
-
-def gap_vs_field(b: float, model: FieldModel) -> float:
-    """Superconducting gap Delta(B) = Delta_0 * sqrt(1 - (B/B_C)^2) in J."""
-    if model.b_c_parallel is None or model.b_c_parallel <= 0.0:
-        raise DomainError("FieldModel.b_c_parallel must be set for gap evaluation")
-    ratio = b / model.b_c_parallel
-    if abs(ratio) > 1.0:
-        raise DomainError(
-            f"|B| = {abs(b)} T exceeds the critical field {model.b_c_parallel} T (normal state)"
-        )
-    return model.gap_zero_field * math.sqrt(1.0 - ratio**2)
 
 
 def field_curvature(model: FieldModel, include_misalignment: bool = True) -> float:
@@ -105,8 +92,9 @@ def field_curvature(model: FieldModel, include_misalignment: bool = True) -> flo
 
 def field_frequency_shift(b, model: FieldModel):
     """Relative frequency shift d_omega/omega at parallel field B (even in
-    B), a scalar or an array."""
-    return -field_curvature(model) * b**2
+    B), a scalar or an array.  A B^2 that overflows raises ArithmeticError."""
+    with np.errstate(over="raise"):  # an overflowing B^2 is a domain error, not an inf in the result
+        return -field_curvature(model) * b**2
 
 
 def _bc_pair_breaking_gap(curvature: float, model: FieldModel) -> float:
@@ -141,7 +129,8 @@ def fit_field_shift(
     ``estimate_theta`` and the model provides the conductor width, the
     misalignment angle is decomposed out of the ratio to the isotropic
     curvature.  A critical-field number is produced only under a criterion
-    named from BC_CRITERIA; another name raises ConfigError.
+    named from BC_CRITERIA; another name raises ConfigError.  A B^2, or a
+    sum of the fit, that overflows raises ArithmeticError.
     """
     if bc_criterion is not None and bc_criterion not in BC_CRITERIA:
         raise ConfigError(f"unknown bc_criterion {bc_criterion!r}; known: {', '.join(sorted(BC_CRITERIA))}")
@@ -149,9 +138,10 @@ def fit_field_shift(
         raise DomainError("need at least 5 field points for the quadratic fit")
     from .fitkit import proportional_fit
     try:
-        c, var_c, rchi2 = proportional_fit(-sweep.y, sweep.x**2, sweep.weights)
-    except DomainError:  # every B, or every w*B^4, is zero
-        raise DomainError("all field values are zero; curvature undetermined") from None
+        with np.errstate(over="raise"):  # an overflow is a domain error, not an inf or nan in the fit
+            c, var_c, rchi2 = proportional_fit(-sweep.y, sweep.x**2, sweep.weights)
+    except DomainError:
+        raise DomainError("no point carries weight on the curvature: every B, or every weight*B^4, is zero") from None
     if rchi2 > 10.0:
         warnings.warn(
             f"reduced chi^2 = {rchi2:.2f}: data deviate from the quadratic law",

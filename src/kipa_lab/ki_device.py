@@ -12,7 +12,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError, PhysicsWarning, RankError
 from .quantities import HBAR
@@ -169,24 +168,6 @@ def pump_strength_3wm(
     omega_r = 2.0 * math.pi * f_r
     mag = 0.25 * bias.i_dc * bias.i_uw / res.i_star**2 * omega_r
     return -mag * cmath.exp(-1j * psi_p)
-
-
-class KerrDominance(NamedTuple):
-    ratio: float  # |K| / kappa
-    dominated_3wm: bool  # True when the Kerr term is negligible
-
-
-def kerr_dominance_check(k_hz: float, kappa_hz: float) -> KerrDominance:
-    """Ratio |K|/kappa (both in ordinary Hz) with a negligibility flag,
-    set below a ratio of 1e-3.
-
-    When the ratio is far below one, a dc-biased drive produces essentially
-    pure three-wave mixing.
-    """
-    if kappa_hz <= 0.0:
-        raise DomainError("kappa must be positive")
-    ratio = abs(k_hz) / kappa_hz
-    return KerrDominance(ratio=ratio, dominated_3wm=ratio < 1e-3)
 
 
 def fit_clem_tuning(data: SweepRecord, f_r0: float, alpha: float) -> FitResult:

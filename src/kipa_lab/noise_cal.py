@@ -4,10 +4,9 @@ Implements the variable-temperature-source (VTS) thermometry pipeline:
 the coth-law output noise of the source, referral through the cryogenic
 losses to the amplifier input, the unit-slope linear fit that extracts the
 added noise, the 50-ohm-through HEMT calibration, photon-number propagation
-through lossy elements at finite temperature, the warm-attenuator correction
-for high-temperature operation, and the radiative-cooling occupation of the
-resonator.  numpy and the fit engine load in the functions that use them,
-so photon-number propagation runs without either.
+through lossy elements at finite temperature, and the radiative-cooling
+occupation of the resonator.  numpy and the fit engine load in the
+functions that use them, so photon-number propagation runs without either.
 """
 
 from __future__ import annotations
@@ -191,8 +190,11 @@ def fit_added_noise(sweep: SweepRecord, chain: ReceiverChain, free_slope: bool =
     A nonzero chain.il_asymmetry_db widens the reported 1-sigma: the
     input-referred temperatures scale with the uncertain input-side
     insertion loss, which shifts the intercept by (weighted mean of T_in)
-    times the loss-ratio uncertainty.
+    times the loss-ratio uncertainty.  Every T_in must be positive; a
+    DomainError names ``t_in`` as its ``arg``.
     """
+    if not (sweep.x > 0.0).all():
+        raise DomainError(f"input temperature must be positive, not {sweep.x[~(sweep.x > 0.0)][0]:g} K", arg="t_in")
     data, res, t_add = _fit_output_referred(sweep.x, sweep, chain, free_slope, through=False)
     sigma_total = float(res.stderr[1])
     if chain.il_asymmetry_db > 0.0:
@@ -267,47 +269,6 @@ def propagate_chain(n_in: float, elements: List[ChainElement], f_hz: float) -> L
         n = propagate_noise(n, e, f_hz)
         out.append(n)
     return out
-
-
-def _warm_attenuator(chain: ReceiverChain) -> tuple:
-    """(eta*g, bracket) of the warm-attenuator model, with the bracket
-    1 - eta_e + eta_e^2*(1 - eta_il) + eta^2*g."""
-    eta = chain.eta
-    return eta * chain.g, 1.0 - chain.eta_e + chain.eta_e**2 * (1.0 - chain.eta_il) + eta**2 * chain.g
-
-
-def high_temp_added_noise(chain: ReceiverChain, t_att: float, t_kipa: float) -> float:
-    """Added noise with a warm attenuator thermalized at t_att:
-
-    T_add = T_HEMT/(eta*g)
-          + T_att/(eta*g) * [1 - eta_e + eta_e^2*(1 - eta_il) + eta^2*g]
-          + T_dev.
-
-    Reduces to T_HEMT/g + T_dev for a cold, lossless chain.
-    """
-    if t_att < 0.0:
-        raise DomainError("attenuator temperature must be >= 0")
-    eg, bracket = _warm_attenuator(chain)
-    return chain.t_hemt / eg + (t_att / eg) * bracket + t_kipa
-
-
-class KipaNoiseVsAttenuatorFit(NamedTuple):
-    t_kipa: float  # K
-    t_kipa_sigma: float  # K
-    fit: FitResult
-
-
-def fit_kipa_noise_vs_attenuator(sweep: SweepRecord, chain: ReceiverChain) -> KipaNoiseVsAttenuatorFit:
-    """Invert the warm-attenuator model over a (T_att, T_add) sweep.
-
-    The model is linear in T_att with a slope fixed by the chain, so the
-    device noise is the intercept minus T_HEMT/(eta*g).
-    """
-    from .fitkit import linear_fit
-    eg, bracket = _warm_attenuator(chain)
-    res = linear_fit(sweep, fixed_slope=bracket / eg)
-    t_kipa = float(res.params[1]) - chain.t_hemt / eg
-    return KipaNoiseVsAttenuatorFit(t_kipa=t_kipa, t_kipa_sigma=float(res.stderr[1]), fit=res)
 
 
 def radiative_cooling(kappa: float, gamma: float, t_bath: float, t_dev: float, f_hz: float) -> float:

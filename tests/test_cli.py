@@ -825,6 +825,7 @@ NEGATIVE_VTS_SWEEP = "-1.0,1e-15\n0.3,2e-15\n0.9,3e-15\n2.0,4e-15\n"
         (["hemt-fit"], "vts.csv", ("sweep_file",), 4, "domain error: sweep_file vts.csv: source temperature must be positive, not -1 K"),
         (["noise-fit", "--synthetic"], [-1.0, 1.0], ("synthetic", "t_vts_k"), 4,
          "domain error: synthetic.t_vts_k: source temperature must be positive, not -1 K"),
+        (["noise-fit"], "vts.csv", ("sweep_file",), 4, "domain error: sweep_file vts.csv: input temperature must be positive, not -1 K"),
         (["hemt-fit", "--synthetic"], 0, ("f_signal_hz",), 4, "domain error: f_signal_hz: carrier frequency must be positive, not 0 Hz"),
         (["hemt-fit"], 0, ("f_signal_hz",), 4, "domain error: f_signal_hz: carrier frequency must be positive, not 0 Hz"),
         (["noise-fit", "--synthetic"], 0, ("synthetic", "f_idler_hz"), 4,
@@ -836,13 +837,14 @@ NEGATIVE_VTS_SWEEP = "-1.0,1e-15\n0.3,2e-15\n0.9,3e-15\n2.0,4e-15\n"
         (["hemt-fit", "--synthetic"], [5e-324, 1.0], ("synthetic", "t_vts_k"), 0, None),
         (["noise-fit", "--synthetic"], [5e-324, 1.0], ("synthetic", "t_vts_k"), 0, None),
     ],
-    ids=["hemt-synthetic-negative-source", "hemt-measured-negative-source", "noise-synthetic-negative-source",
+    ids=["hemt-synthetic-negative-source", "hemt-measured-negative-source", "noise-synthetic-negative-source", "noise-measured-negative-input",
          "hemt-synthetic-zero-carrier", "hemt-measured-zero-carrier", "noise-synthetic-zero-idler", "noise-synthetic-zero-signal",
          "hemt-synthetic-negative-carrier", "hemt-subnormal-source", "noise-subnormal-source"],
 )
 def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_path, argv, value, path, code, message):
-    # One check of the source law's inputs serves hemt-fit and noise-fit alike; a subnormal source
-    # temperature is the zero-point limit, with no numpy warning on stderr.
+    # One check of the source law's inputs serves hemt-fit and noise-fit alike, and a measured noise-fit
+    # sweep's T_in is checked too; a subnormal source temperature is the zero-point limit, with no numpy
+    # warning on stderr.
     (tmp_path / "vts.csv").write_text(NEGATIVE_VTS_SWEEP if value == "vts.csv" else "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n2.0,4e-15\n")
     cfg = tmp_path / "chain.json"
     doc = json.loads(_edited("chain.json", value, *path))
@@ -856,6 +858,11 @@ def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_pat
         assert proc.stdout == "" and proc.stderr.splitlines() == [message]
 
 
+# A field of 1e200 T: B^2 overflows in the fit.
+FIELD_OVERFLOW_SWEEP = "0,0\n1,-1e-6\n2,-4e-6\n3,-9e-6\n1e200,-1\n"
+FIELD_OUT_OF_RANGE = "the field shift out of float range"
+
+
 @pytest.mark.parametrize(
     "config, argv, value, path, code, message",
     [
@@ -864,12 +871,25 @@ def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_pat
         ("device.json", ["tune", "--synthetic"], 1e300, ("synthetic", "noise_frac"), 4,
          "domain error: the planted noise (0 absolute, 1e+300 relative) overflows a double"),
         ("compression.json", ["compression", "--synthetic"], 1e-300, ("synthetic", "softness_db"), 0, None),
+        ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "b_max_t"), 4,
+         f"domain error: synthetic.b_min_t = 0 T and synthetic.b_max_t = 1e+300 T put {FIELD_OUT_OF_RANGE}"),
+        ("field.json", ["field-shift", "--synthetic"], -1e160, ("synthetic", "b_min_t"), 4,
+         f"domain error: synthetic.b_min_t = -1e+160 T and synthetic.b_max_t = 6 T put {FIELD_OUT_OF_RANGE}"),
+        ("field.json", ["field-shift", "--synthetic"], 1e154, ("synthetic", "b_max_t"), 4,
+         f"domain error: synthetic.b_min_t = 0 T and synthetic.b_max_t = 1e+154 T put {FIELD_OUT_OF_RANGE}"),
+        ("field.json", ["field-shift"], "field.csv", ("sweep_file",), 4, f"domain error: sweep_file field.csv puts {FIELD_OUT_OF_RANGE}"),
+        ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "noise_abs"), 4,
+         "domain error: no point carries weight on the curvature: every B, or every weight*B^4, is zero"),
     ],
-    ids=["tune-tiny-noise", "tune-overflowing-noise", "compression-sharp-step"],
+    ids=["tune-tiny-noise", "tune-overflowing-noise", "compression-sharp-step", "field-overflowing-b-max",
+         "field-overflowing-b-min", "field-overflowing-fit-sum", "field-measured-overflow", "field-weightless-noise"],
 )
 def test_extreme_plant_prints_no_numpy_warning_in_a_fresh_process(tmp_path, config, argv, value, path, code, message):
-    # sigma_y^2 underflowing to 0 (an infinite weight), noise that overflows a double, and a logistic
-    # whose exp overflows toward its correct limit: one stderr line or none, and a documented exit code.
+    # sigma_y^2 underflowing to 0 (an infinite weight), noise that overflows a double, a logistic whose
+    # exp overflows toward its correct limit, a field whose B^2 or fit sums overflow, whether planted or
+    # measured, and weights that underflow to 0: one stderr line or none, and a documented exit code.
+    if path == ("sweep_file",):
+        (tmp_path / value).write_text(FIELD_OVERFLOW_SWEEP)
     cfg = tmp_path / config
     cfg.write_text(_edited(config, value, *path))
     proc = _fresh([*argv, "--config", str(cfg)])

@@ -54,7 +54,7 @@ ABSENT = {
     "pump_search.json": [],
     "chain.json": [("free_slope",), ("chain", "eta_db"), ("chain", "il_asymmetry_db"), ("synthetic", "t_vts_k")],
     "budget.json": [("g_x_db",), ("budget", "hemt_gain_db"), ("budget", "n_eta_photons")],
-    "field.json": [("estimate_theta",), ("bc_criterion",), ("field_model", "b_c_parallel_t"), ("field_model", "delta_0_j")],
+    "field.json": [("estimate_theta",), ("bc_criterion",), ("field_model", "delta_0_j")],
     "temp.json": [("t_min_k",), ("t_max_k",), ("delta_f_hz",), ("temperatures_k",), ("temp_model", "c4")],
     "compression.json": [("sweep_file",)],
     "device.json": [("bias_current_a",)],

@@ -14,7 +14,6 @@ from kipa_lab.env_models import (
     field_curvature,
     field_frequency_shift,
     fit_field_shift,
-    gap_vs_field,
     temp_frequency_shift,
 )
 from kipa_lab.errors import ConfigWarning, DomainError, InversionError, PhysicsWarning
@@ -29,18 +28,6 @@ def reference_field_model(**overrides) -> FieldModel:
     kwargs = dict(diffusion=0.5e-4, thickness=13e-9, t_c=5.6, center_width=2e-6, theta_b=0.0)
     kwargs.update(overrides)
     return FieldModel(**kwargs)
-
-
-def test_gap_suppression_points():
-    model = reference_field_model(b_c_parallel=17.32)
-    d0 = model.gap_zero_field
-    assert gap_vs_field(0.0, model) == d0
-    assert gap_vs_field(17.32, model) == 0.0
-    assert gap_vs_field(17.32 / math.sqrt(2.0), model) == pytest.approx(d0 / math.sqrt(2.0), rel=1e-12)
-    with pytest.raises(DomainError):
-        gap_vs_field(18.0, model)
-    with pytest.raises(DomainError):
-        gap_vs_field(1.0, reference_field_model())  # no critical field configured
 
 
 def test_gap_default_is_bcs_ratio():
@@ -115,11 +102,14 @@ def test_fit_field_shift_zero_data():
     assert fit.theta_b == 0.0
 
 
-@pytest.mark.parametrize("b_max", [0.0, 1e-90], ids=["zero", "b4-underflows"])
-def test_fit_field_shift_undetermined_curvature(b_max):
-    # B^4 underflows to zero long before B does: the solve's own sum decides.
-    sweep = SweepRecord(np.linspace(-b_max, b_max, 7), np.full(7, -1e-6))
-    with pytest.raises(DomainError, match="^all field values are zero; curvature undetermined$"):
+@pytest.mark.parametrize("b_max, sigma", [(0.0, None), (1e-90, None), (6.0, 1e300)],
+                         ids=["zero", "b4-underflows", "weights-underflow"])
+def test_fit_field_shift_undetermined_curvature(b_max, sigma):
+    # B^4 underflows to zero long before B does, and 1/sigma^2 underflows to zero at fields that
+    # are fine: the solve's own sum decides.
+    sweep = SweepRecord(np.linspace(-b_max, b_max, 7), np.full(7, -1e-6), None if sigma is None else np.full(7, sigma))
+    message = "^no point carries weight on the curvature: every B, or every weight\\*B\\^4, is zero$"
+    with pytest.raises(DomainError, match=message):
         fit_field_shift(sweep, reference_field_model())
 
 

@@ -15,7 +15,6 @@ from kipa_lab.ki_device import (
     clem_frequency,
     clem_ratio,
     fit_clem_tuning,
-    kerr_dominance_check,
     pump_strength_3wm,
     resonance_vs_bias,
     self_kerr,
@@ -185,20 +184,6 @@ def test_pump_strength_bilinear():
     base = abs(pump_strength_3wm(BiasPoint(40e-6, 1e-5), res, F_SIGNAL))
     assert abs(pump_strength_3wm(BiasPoint(80e-6, 1e-5), res, F_SIGNAL)) == pytest.approx(2 * base, rel=1e-14)
     assert abs(pump_strength_3wm(BiasPoint(40e-6, 2e-5), res, F_SIGNAL)) == pytest.approx(2 * base, rel=1e-14)
-
-
-def test_kerr_dominance_published_numbers():
-    ratio, flag = kerr_dominance_check(-0.133, 19.8e6)
-    assert ratio == pytest.approx(0.133 / 19.8e6, rel=1e-12)
-    assert ratio < 1e-8
-    assert flag
-
-
-def test_kerr_dominance_edge_cases():
-    ratio, flag = kerr_dominance_check(-5.0, 5.0)
-    assert ratio == 1.0 and not flag
-    ratio, flag = kerr_dominance_check(0.0, 5.0)
-    assert ratio == 0.0 and flag
 
 
 def test_type_invariants():

@@ -13,8 +13,6 @@ from kipa_lab.noise_cal import (
     _half_quantum_coth,
     fit_added_noise,
     fit_hemt_noise,
-    fit_kipa_noise_vs_attenuator,
-    high_temp_added_noise,
     kipa_noise_from_added,
     propagate_chain,
     propagate_noise,
@@ -164,6 +162,14 @@ def test_fit_added_noise_zero_plant():
     assert abs(res.t_add) < 1e-12
 
 
+def test_fit_added_noise_rejects_a_non_positive_input_temperature():
+    chain = reference_chain()
+    for t_in in ([-1.0, 0.3, 0.9, 2.0], [0.1, 0.3, 0.9, 0.0]):
+        with pytest.raises(DomainError, match="^input temperature must be positive, not (-1|0) K$") as err:
+            fit_added_noise(SweepRecord(np.array(t_in), np.array([1e-15, 2e-15, 3e-15, 4e-15])), chain)
+        assert err.value.arg == "t_in"
+
+
 def test_insertion_loss_asymmetry_inflates_sigma():
     rng = np.random.default_rng(0)
     plain = reference_chain()
@@ -284,32 +290,6 @@ def test_propagate_chain_order_dependent_and_cold_composition():
 def test_propagate_rejects_gain_elements():
     with pytest.raises(DomainError):
         propagate_noise(0.5, ChainElement("gain", 20.0, 4.0), F_SIGNAL)
-
-
-def test_high_temp_added_noise_limits():
-    chain = reference_chain()
-    eta = chain.eta
-    cold = high_temp_added_noise(chain, 0.0, 0.286)
-    assert cold == pytest.approx(chain.t_hemt / (eta * chain.g) + 0.286, rel=1e-12)
-
-    ideal = reference_chain(eta_e=1.0, eta_il=1.0)
-    t = high_temp_added_noise(ideal, 0.123, 0.286)
-    assert t == pytest.approx(ideal.t_hemt / ideal.g + 0.123 + 0.286, rel=1e-12)
-
-
-def test_high_temp_consistency_with_low_temp_decomposition():
-    ideal = reference_chain(eta_e=1.0, eta_il=1.0)
-    t_add = high_temp_added_noise(ideal, 0.0, 0.286)
-    assert kipa_noise_from_added(t_add, ideal.g, ideal.t_hemt) == pytest.approx(0.286, rel=1e-12)
-
-
-def test_high_temp_inversion_plant():
-    chain = reference_chain()
-    t_kipa = 0.286
-    t_atts = np.linspace(0.01, 0.8, 9)
-    t_adds = np.array([high_temp_added_noise(chain, t, t_kipa) for t in t_atts])
-    res = fit_kipa_noise_vs_attenuator(SweepRecord(t_atts, t_adds), chain)
-    assert abs(res.t_kipa - t_kipa) < 1e-12
 
 
 def test_radiative_cooling_limits():

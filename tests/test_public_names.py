@@ -1,18 +1,19 @@
-"""Every public top-level name of kipa_lab is reached from the CLI or has an owner.
+"""Every top-level name of kipa_lab is reached from the CLI or has an owner.
 
-The scan parses ``src/kipa_lab/*.py`` with ``ast``.  A public name (one not
-starting with ``_``) that a module defines at its top level, by ``def``,
-``class`` or assignment, must be reached from the CLI's roots: the
-``cmd_<name>`` handlers of ``cli.COMMANDS``, ``main``, ``run``, and the
-module-level statements other than imports, which run when a module loads.
-A ``def`` or ``class`` that is reached reaches every name its statement
-references, public or private: loaded as a name, read as an attribute, or
-imported.  A name that appears only in annotations is not reached, since none
-is evaluated, and neither is one that only unreached code calls.  Names are
-matched by name alone, whatever module defines them.  A name that is not
-reached stays only while a ROADMAP item owns it: LEDGER maps it to that item,
-and the item either gives it a caller or deletes it.  A ledger entry is stale
-once its name is reached or leaves src/.
+The scan parses ``src/kipa_lab/*.py`` with ``ast``.  A name that a module
+defines at its top level, by ``def``, ``class`` or assignment, must be reached
+from the CLI's roots: the ``cmd_<name>`` handlers of ``cli.COMMANDS``,
+``main``, ``run``, and the module-level statements other than imports, which
+run when a module loads.  A ``def`` or ``class`` that is reached reaches every
+name its statement references, public or private: loaded as a name, read as
+an attribute, or imported.  A name that appears only in annotations is not
+reached, since none is evaluated, and neither is one that only unreached code
+calls.  Names are matched by name alone, whatever module defines them.  A
+public name (one not starting with ``_``) that is not reached stays only while
+a ROADMAP item owns it: LEDGER maps it to that item, and the item either gives
+it a caller or deletes it.  A private name has no owner: one that is not
+reached is an orphaned helper, and goes with the last code that called it.  A
+ledger entry is stale once its name is reached, is private, or leaves src/.
 """
 
 import ast
@@ -35,13 +36,7 @@ LEDGER = {
     "sif_sections": 10,
     "LineSection": 10,  # the sections of sif_sections and cascade_input_impedance
     "input_impedance": 10,  # called by cascade_input_impedance
-    "kerr_dominance_check": 11,
-    "KerrDominance": 11,  # the result of kerr_dominance_check
-    "gap_vs_field": 13,
     "radiative_cooling": 14,
-    "high_temp_added_noise": 14,
-    "fit_kipa_noise_vs_attenuator": 14,
-    "KipaNoiseVsAttenuatorFit": 14,  # the result of fit_kipa_noise_vs_attenuator
 }
 # Reached however the CLI is used: the console script's entry point and the in-process one.
 ROOTS = {"main", "run"}
@@ -89,7 +84,7 @@ def _referenced(stmt) -> set:
 
 
 def scan(sources: dict, ledger: dict) -> tuple:
-    """(public names neither reached nor owned, stale ledger entries) of the
+    """(names neither reached nor owned, stale ledger entries) of the
     modules in ``sources``, {module name: source text}."""
     defined, edges, reached = set(), {}, set(ROOTS)
     for module, text in sources.items():
@@ -108,7 +103,7 @@ def scan(sources: dict, ledger: dict) -> tuple:
         reached |= new
         todo.extend(new)
     public = {name for name in defined if not name.startswith("_")}
-    unowned = sorted(public - reached - set(ledger))
+    unowned = sorted(defined - reached - set(ledger))
     stale = sorted(name for name in ledger if name in reached or name not in public)
     return unowned, stale
 
@@ -123,8 +118,12 @@ def test_every_public_name_has_a_caller_or_an_owner():
 
 def test_scan_finds_an_uncalled_function_and_a_stale_entry():
     sources = _sources()
-    sources["extra"] = "def orphan():\n    return helper()\n\n\ndef helper():\n    return gap_vs_field()\n"
+    sources["extra"] = "def orphan():\n    return helper()\n\n\ndef helper():\n    return radiative_cooling()\n"
     assert scan(sources, LEDGER) == (["helper", "orphan"], [])  # called, but only by code the CLI never runs
     sources["extra"] += "\nhelper()\n"  # a module-level call runs at import: helper and what it calls are reached
-    assert scan(sources, LEDGER) == (["orphan"], ["gap_vs_field"])
+    assert scan(sources, LEDGER) == (["orphan"], ["radiative_cooling"])
+    # An owned name's private helper is not owned with it, and a private name cannot be owned.
+    sources["extra"] = "def owned():\n    return _helper()\n\n\ndef _helper():\n    return 1\n"
+    assert scan(sources, {**LEDGER, "owned": 14}) == (["_helper"], [])
+    assert scan(sources, {**LEDGER, "owned": 14, "_helper": 14}) == ([], ["_helper"])
     assert scan(_sources(), {**LEDGER, "no_such_name": 1}) == ([], ["no_such_name"])
