@@ -239,13 +239,15 @@ def cmd_noise_fit(args) -> int:
     from . import noise_cal, synthetic
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
+    source = "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"
     try:  # only the plant reads the source law; a measured sweep is of T_in
         sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
         fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
     except DomainError as exc:
-        keys = {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz",
-                "t_in": "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"}
+        keys = {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz", "t_in": source}
         raise _keyed(exc, keys) from None
+    except ArithmeticError:  # the output-referred sweep, or a sum of its fit, overflows
+        raise DomainError(f"{source}: the output-referred sweep or its fit overflows a double") from None
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     residual_k = sweep.y / chain.watts_per_kelvin - chain.output_temperature(sweep.x, fit.t_add)
     residuals = dict(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=residual_k)
@@ -258,12 +260,14 @@ def cmd_hemt_fit(args) -> int:
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     f_signal = c["f_signal_hz"]
+    source = "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"
     try:
         sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn))
         fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"])
     except DomainError as exc:
-        source = "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"
         raise _keyed(exc, {"t_vts": source, "f_signal": "f_signal_hz"}) from None
+    except ArithmeticError:  # the output-referred sweep, or a sum of its fit, overflows
+        raise DomainError(f"{source}: the output-referred sweep or its fit overflows a double") from None
     results = {"t_hemt_k": fit.t_hemt, "t_hemt_sigma_k": fit.t_hemt_sigma, "slope": fit.slope}
     return _emit(args, cfg, results, truth=truth, sweep=sweep)
 
@@ -364,11 +368,11 @@ def cmd_device_temp(args) -> int:
         rel = c["delta_f_hz"] / f_r
     else:
         raise ConfigError("device-temp needs delta_omega_rel or delta_f_hz")
-    solve = {"t_min": env_models.INVERSION_T_MIN_K, "t_max": model.quartic_t_max, **c["solve"]}
-    if not solve["t_max"] > solve["t_min"] > 0.0:
-        raise DomainError(f"need 0 < t_min_k < t_max_k (default {env_models.QUARTIC_T_MAX_OVER_TC:g} "
-                          f"temp_model.critical_temperature_k), got {solve['t_min']:g} K and {solve['t_max']:g} K")
-    t = env_models.device_temp_from_shift(rel, f_r, model, **solve)
+    try:
+        t = env_models.device_temp_from_shift(rel, f_r, model, **c["solve"])
+    except DomainError as exc:
+        keys = {"t_min": "t_min_k", "t_max": "t_max_k" if "t_max" in c["solve"] else "temp_model.critical_temperature_k"}
+        raise _keyed(exc, keys) from None
     return _emit(args, cfg, {"t_dev_k": t, "rel_shift": rel})
 
 

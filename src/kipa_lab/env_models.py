@@ -332,11 +332,12 @@ def device_temp_from_shift(
 
     The model must be monotone over [t_min, t_max] (default upper end
     model.quartic_t_max); shifts outside the attainable range raise
-    InversionError.
+    InversionError, and bounds out of order a DomainError with an ``arg``.
     """
     t_max = model.quartic_t_max if t_max is None else t_max
     if not t_max > t_min > 0.0:
-        raise DomainError("need 0 < t_min < t_max")
+        raise DomainError(f"need 0 < t_min < t_max (default t_max {QUARTIC_T_MAX_OVER_TC:g} T_c = {model.quartic_t_max:g} K), "
+                          f"got {t_min:g} K and {t_max:g} K", arg="t_max" if t_min > 0.0 else "t_min")
     model.warn_if_nonmonotone(f_r, t_min, t_max)
 
     ref = _shift_reference(f_r, model)

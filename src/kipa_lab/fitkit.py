@@ -92,38 +92,31 @@ def proportional_fit(y: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def linear_fit(data: SweepRecord, fixed_slope: Optional[float] = None) -> FitResult:
-    """Weighted least-squares straight line y = a*x + b.
+    """Weighted least-squares straight line y = a*x + b, params [a, b].
 
-    Returns params [a, b].  With ``fixed_slope`` only the intercept is fitted,
-    by proportional_fit of y - a*x on ones, and the slope rows of the
-    covariance are zero.  Covariance is (X^T W X)^-1 with W = 1/sigma^2
-    (unit weights when sigma_y is absent), i.e. sigma_y is taken at face
-    value, not rescaled by chi^2.
+    A free slope is proportional_fit of y - y_w on x - x_w about the weighted
+    centroid (x_w, y_w), losing no digits to an offset in x; a ``fixed_slope``
+    has var_a = 0.  The intercept is proportional_fit of y - a*x on ones, with
+    variance var_b + x_w^2*var_a and cov_ab = -x_w*var_a.  sigma_y is taken at
+    face value (unit weights without it); a free line's chi^2 has n - 2 dof.
     """
-    n = len(data)
-    w = data.weights
-    if fixed_slope is not None:
-        if n < 1:
-            raise FitError("intercept fit needs at least 1 point")
-        b, var_b, rchi2 = proportional_fit(data.y - fixed_slope * data.x, np.ones(n), w)
-        params, cov = np.array([fixed_slope, b]), np.zeros((2, 2))
-        cov[1, 1] = var_b
-    else:
+    n, w, ones = len(data), data.weights, np.ones(len(data))
+    a, var_a, x_w = fixed_slope, 0.0, 0.0
+    if fixed_slope is None:
         if n < 2:
             raise FitError("line fit needs at least 2 points")
         if np.ptp(data.x) == 0.0:
             raise RankError("all x values identical; slope is undetermined")
-        X = np.column_stack([data.x, np.ones(n)])
-        A = X.T @ (w[:, None] * X)
-        rhs = X.T @ (w * data.y)
-        try:
-            params = np.linalg.solve(A, rhs)
-            cov = np.linalg.inv(A)
-        except np.linalg.LinAlgError as exc:
-            raise RankError(f"normal equations singular: {exc}") from exc
-        resid = data.y - X @ params
-        rchi2 = float(np.sum(w * resid**2)) / (n - 2) if n > 2 else 0.0
-    return FitResult(params=params, covariance=cov, reduced_chi2=rchi2, n_iterations=1, converged=True)
+        x_w, y_w = (proportional_fit(v, ones, w)[0] for v in (data.x, data.y))
+        a, var_a, _ = proportional_fit(data.y - y_w, data.x - x_w, w)
+    elif n < 1:
+        raise FitError("intercept fit needs at least 1 point")
+    b, var_b, rchi2 = proportional_fit(data.y - a * data.x, ones, w)
+    if fixed_slope is None:
+        rchi2 = rchi2 * (n - 1) / (n - 2) if n > 2 else 0.0
+    cov_ab = -x_w * var_a
+    cov = np.array([[var_a, cov_ab], [cov_ab, var_b - x_w * cov_ab]])
+    return FitResult(params=np.array([a, b]), covariance=cov, reduced_chi2=rchi2, n_iterations=1, converged=True)
 
 
 # Levenberg-Marquardt settings, fixed for reproducibility.

@@ -162,12 +162,14 @@ def _half_quantum_coth(f_hz: float, t_k):
 
 def _fit_output_referred(t_in, sweep: SweepRecord, chain: ReceiverChain, free_slope: bool, through: bool):
     """(data, fit, T_noise): P_out and sigma_y over g_tot*k_B*B fitted against
-    t_in, slope pinned to one unless free_slope; T_noise = intercept - T_b."""
+    t_in, slope pinned to one unless free_slope; T_noise = intercept - T_b;
+    an overflow raises FloatingPointError."""
+    import numpy as np
     from .fitkit import SweepRecord, linear_fit
     scale = chain.watts_per_kelvin
-    sigma = None if sweep.sigma_y is None else sweep.sigma_y / scale
-    data = SweepRecord(t_in, sweep.y / scale, sigma)
-    res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
+    with np.errstate(over="raise"):  # an overflow is a domain error, not an inf or nan in the fit
+        data = SweepRecord(t_in, sweep.y / scale, None if sweep.sigma_y is None else sweep.sigma_y / scale)
+        res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
     return data, res, float(res.params[1]) - chain.t_backend(through)
 
 

@@ -62,8 +62,6 @@ def squeezing_factor(g_x: float, budget: SqueezeBudget) -> float:
     (zero loss-port occupations, large amplifier gain) this is the standard
     on/off variance ratio; S(1) = 1 identically.
     """
-    if g_x <= 0.0:
-        raise DomainError("quadrature gain must be positive")
     v = VACUUM_VARIANCE
     c = budget.hemt_prefactor
     loss_term = (1.0 - budget.eta) * (v + budget.n_eta / 2.0)

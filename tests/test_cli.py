@@ -339,6 +339,27 @@ def test_device_temp_out_of_range_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "value, path, line",
+    [
+        (-1.0, ("t_min_k",), "t_min_k: need 0 < t_min < t_max (default t_max 0.4 T_c = 2.24 K), got -1 K and 2.24 K"),
+        (0.01, ("t_max_k",), "t_max_k: need 0 < t_min < t_max (default t_max 0.4 T_c = 2.24 K), got 0.02 K and 0.01 K"),
+        (0.04, ("temp_model", "critical_temperature_k"),
+         "temp_model.critical_temperature_k: need 0 < t_min < t_max (default t_max 0.4 T_c = 0.016 K), got 0.02 K and 0.016 K"),
+    ],
+    ids=["t-min-not-positive", "t-max-below-t-min", "default-t-max-below-t-min"],
+)
+def test_device_temp_bounds_name_the_key(tmp_path, capsys, value, path, line):
+    # The library checks the bounds; the line names the config key of the bound at fault, which is
+    # critical_temperature_k for a defaulted t_max.
+    cfg = tmp_path / "temp.json"
+    cfg.write_text(_edited("temp.json", value, *path))
+    code = cli.main(["device-temp", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["domain error: " + line]
+
+
 def test_compression_synthetic(capsys):
     code, doc = run_json(capsys, "compression", "--config", str(CONFIGS / "compression.json"), "--synthetic")
     assert code == 0
@@ -858,9 +879,13 @@ def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_pat
         assert proc.stdout == "" and proc.stderr.splitlines() == [message]
 
 
-# A field of 1e200 T: B^2 overflows in the fit.
-FIELD_OVERFLOW_SWEEP = "0,0\n1,-1e-6\n2,-4e-6\n3,-9e-6\n1e200,-1\n"
+# A field of 1e200 T: B^2 overflows in the fit.  A VTS sweep whose last T row, or P_out row, is 1e300:
+# a square of the fit, or P_out in output-referred kelvin, overflows.
+EXTREME_SWEEPS = {"field.csv": "0,0\n1,-1e-6\n2,-4e-6\n3,-9e-6\n1e200,-1\n",
+                  "hot.csv": "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n1e300,4e-15\n",
+                  "loud.csv": "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n1.5,1e300\n"}
 FIELD_OUT_OF_RANGE = "the field shift out of float range"
+VTS_OVERFLOW = "the output-referred sweep or its fit overflows a double"
 
 
 @pytest.mark.parametrize(
@@ -880,18 +905,36 @@ FIELD_OUT_OF_RANGE = "the field shift out of float range"
         ("field.json", ["field-shift"], "field.csv", ("sweep_file",), 4, f"domain error: sweep_file field.csv puts {FIELD_OUT_OF_RANGE}"),
         ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "noise_abs"), 4,
          "domain error: no point carries weight on the curvature: every B, or every weight*B^4, is zero"),
+        ("chain.json", ["noise-fit"], "hot.csv", ("sweep_file",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
+        ("chain.json", ["noise-fit"], True, ("free_slope",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
+        ("chain.json", ["hemt-fit"], "hot.csv", ("sweep_file",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
+        ("chain.json", ["hemt-fit"], True, ("free_slope",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
+        ("chain.json", ["noise-fit"], "loud.csv", ("sweep_file",), 4, f"domain error: sweep_file loud.csv: {VTS_OVERFLOW}"),
+        ("chain.json", ["hemt-fit"], "loud.csv", ("sweep_file",), 4, f"domain error: sweep_file loud.csv: {VTS_OVERFLOW}"),
+        ("chain.json", ["noise-fit", "--synthetic"], {"t_vts_k": [1e300, 1.0], "noise_frac": 0.1}, ("synthetic",), 4,
+         f"domain error: synthetic.t_vts_k: {VTS_OVERFLOW}"),
+        ("chain.json", ["hemt-fit", "--synthetic"], {"t_vts_k": [1e300, 1.0], "noise_frac": 0.1}, ("synthetic",), 4,
+         f"domain error: synthetic.t_vts_k: {VTS_OVERFLOW}"),
     ],
     ids=["tune-tiny-noise", "tune-overflowing-noise", "compression-sharp-step", "field-overflowing-b-max",
-         "field-overflowing-b-min", "field-overflowing-fit-sum", "field-measured-overflow", "field-weightless-noise"],
+         "field-overflowing-b-min", "field-overflowing-fit-sum", "field-measured-overflow", "field-weightless-noise",
+         "noise-measured-overflowing-t", "noise-measured-overflowing-t-free-slope", "hemt-measured-overflowing-t",
+         "hemt-measured-overflowing-t-free-slope", "noise-measured-overflowing-p", "hemt-measured-overflowing-p",
+         "noise-overflowing-plant", "hemt-overflowing-plant"],
 )
 def test_extreme_plant_prints_no_numpy_warning_in_a_fresh_process(tmp_path, config, argv, value, path, code, message):
     # sigma_y^2 underflowing to 0 (an infinite weight), noise that overflows a double, a logistic whose
     # exp overflows toward its correct limit, a field whose B^2 or fit sums overflow, whether planted or
-    # measured, and weights that underflow to 0: one stderr line or none, and a documented exit code.
-    if path == ("sweep_file",):
-        (tmp_path / value).write_text(FIELD_OVERFLOW_SWEEP)
+    # measured, weights that underflow to 0, and a VTS sweep whose fit overflows, with the slope pinned
+    # or free: one stderr line or none, and a documented exit code.  A chain.json row that edits another
+    # key reads hot.csv.
+    for name, text in EXTREME_SWEEPS.items():
+        (tmp_path / name).write_text(text)
+    doc = json.loads(_edited(config, value, *path))
+    if config == "chain.json":
+        doc.setdefault("sweep_file", "hot.csv")
     cfg = tmp_path / config
-    cfg.write_text(_edited(config, value, *path))
+    cfg.write_text(json.dumps(doc))
     proc = _fresh([*argv, "--config", str(cfg)])
     assert proc.returncode == code, proc.stderr
     if message is None:

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
@@ -82,6 +83,53 @@ def test_fixed_slope_intercept_matches_polyfit(weighted):
 def test_proportional_fit_without_weight_raises():
     with pytest.raises(DomainError, match="no point carries weight"):
         proportional_fit(np.ones(3), np.full(3, 1e-200), np.ones(3))
+
+
+def _mp_line(x, y, w, fixed_slope):
+    """(a, b, covariance) of the weighted least-squares line at 50 digits, from the raw sums."""
+    with mp.workdps(50):
+        x, y, w = ([mp.mpf(float(v)) for v in col] for col in (x, y, w))
+        s, sx, sy = mp.fsum(w), mp.fsum(map(mp.fmul, w, x)), mp.fsum(map(mp.fmul, w, y))
+        if fixed_slope is not None:
+            a = mp.mpf(fixed_slope)
+            return a, (sy - a * sx) / s, [[0, 0], [0, 1 / s]]
+        sxx, sxy = mp.fsum(wi * xi * xi for wi, xi in zip(w, x)), mp.fsum(wi * xi * yi for wi, xi, yi in zip(w, x, y))
+        d = s * sxx - sx * sx
+        return (s * sxy - sx * sy) / d, (sxx * sy - sx * sxy) / d, [[s / d, -sx / d], [-sx / d, sxx / d]]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6])
+def test_linear_fit_matches_mpmath_oracle_at_an_x_offset(offset):
+    # Oracle: the normal equations solved at 50 digits.  The intercept's error is scaled by
+    # max(|b|, |a|*offset), the size of the terms that cancel in it.
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        x = offset + np.sort(rng.uniform(-5.0, 5.0, n))
+        a, b = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+        sigma = 10.0 ** rng.uniform(-2.0, 0.0, n)
+        data = SweepRecord(x, a * x + b + rng.normal(0.0, sigma), sigma)
+        for fixed_slope in (None, a):
+            res = linear_fit(data, fixed_slope)
+            oa, ob, ocov = _mp_line(x, data.y, data.weights, fixed_slope)
+            assert abs(res.params[0] - oa) <= 1e-12 * abs(oa)
+            assert abs(res.params[1] - ob) <= 1e-12 * max(abs(ob), abs(oa) * offset)
+            for i, j in np.ndindex(2, 2):
+                assert abs(res.covariance[i, j] - ocov[i][j]) <= 1e-12 * abs(ocov[i][j]), (i, j)
+
+
+def test_linear_fit_exact_line_far_from_the_origin():
+    # Around x = 1e8 the 2x2 normal matrix is singular in double precision; the centred fit is not.
+    x = 1e8 + np.linspace(0.0, 1.0, 11)
+    res = linear_fit(SweepRecord(x, 2.0 * x + 3.0))
+    assert res.params == pytest.approx([2.0, 3.0], rel=1e-6)
+
+
+@pytest.mark.parametrize("fixed_slope", [None, 1.0], ids=["free", "fixed"])
+def test_linear_fit_without_weight_raises_in_both_modes(fixed_slope):
+    # Every weight 1/sigma_y^2 underflows to 0: the same domain error whether or not the slope is free.
+    with pytest.raises(DomainError, match="no point carries weight"):
+        linear_fit(SweepRecord(np.arange(4.0), np.arange(4.0), np.full(4, 1e200)), fixed_slope)
 
 
 def test_linear_fit_degenerate_x_raises():

@@ -137,5 +137,5 @@ def test_budget_validation():
         SqueezeBudget(eta=0.5, n_h=-1.0)
     with pytest.raises(DomainError):
         SqueezeBudget(eta=0.5, n_h=1.0, g_h=0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="quadrature gain must be positive"):
         squeezing_factor(0.0, reference_budget())
