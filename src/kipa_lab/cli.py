@@ -8,7 +8,12 @@ reports the recovery alongside the truth.
 
 Exit codes: 0 success, 2 configuration error, 3 fit/extraction error,
 4 domain error, 141 stdout closed by its reader (process entry point only);
-a closed stderr loses the error line, not the code.
+a closed stderr loses the error line, not the code.  A numpy float warning
+(overflow, invalid value, divide by zero) is a domain error, whatever the
+caller's warning filters.  The sweep commands (compression, noise-fit,
+hemt-fit, field-shift) print a domain error of their plant, read or fit as
+``<where>: <what>``: the config key at fault, else ``synthetic`` or
+``sweep_file <name>``.
 Verbosity via the KIPA_LAB_LOG environment variable.
 """
 
@@ -94,21 +99,25 @@ def _write(args, bundle: dict, curve=None, sweep=None) -> str:
     return text if csv_text is None else csv_text
 
 
-def _sweep(args, c: dict, plant):
-    """(sweep, truth): planted by ``plant(synthetic_block, seed)`` under
-    --synthetic, else read from the config's sweep_file (relative to the
-    config file) with no truth."""
-    if args.synthetic:
-        return plant(c["synthetic"], args.seed)
-    if c["sweep_file"] is None:
+def _sweep(args, c: dict, plant, fit, keys: dict):
+    """(sweep, truth, fit(sweep)): the sweep planted by ``plant(synthetic_block,
+    seed)`` under --synthetic, else read from the config's sweep_file
+    (relative to the config file) with no truth.  A DomainError, an
+    ArithmeticError or a float RuntimeWarning of the plant, the read or the
+    fit is one DomainError that starts with where it came from: the config
+    key that ``keys`` maps the error's ``arg`` to, else the source,
+    ``synthetic`` or ``sweep_file <name>``."""
+    if not args.synthetic and c["sweep_file"] is None:
         raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
-    return cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
-
-
-def _keyed(exc: DomainError, keys: dict) -> DomainError:
-    """exc, or, when keys maps the argument it names (exc.arg) to a config
-    key, a DomainError whose message starts with that key."""
-    return DomainError(f"{keys[exc.arg]}: {exc}") if exc.arg in keys else exc
+    try:
+        if args.synthetic:
+            sweep, truth = plant(c["synthetic"], args.seed)
+        else:
+            sweep, truth = cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
+        return sweep, truth, fit(sweep)
+    except (DomainError, ArithmeticError, RuntimeWarning) as exc:
+        source = "synthetic" if args.synthetic else f"sweep_file {c['sweep_file']}"
+        raise DomainError(f"{keys.get(getattr(exc, 'arg', None), source)}: {exc}") from None
 
 
 def cmd_design(args) -> int:
@@ -230,8 +239,7 @@ def cmd_compression(args) -> int:
         grid = np.linspace(syn["p_min_dbm"], syn["p_max_dbm"], syn["n_points"])
         return synthetic.compression_sweep(ssg, syn["p_mid_dbm"], syn["softness_db"], syn["depth_db"], grid, syn["noise_db"], rng)
 
-    sweep, truth = _sweep(args, c, plant)
-    point = io_dynamics.compression_point(sweep, ssg)
+    sweep, truth, point = _sweep(args, c, plant, lambda sweep: io_dynamics.compression_point(sweep, ssg), {})
     return _emit(args, cfg, {"small_signal_gain_db": ssg, **point._asdict()}, truth=truth, sweep=sweep)
 
 
@@ -239,15 +247,9 @@ def cmd_noise_fit(args) -> int:
     from . import noise_cal, synthetic
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
-    source = "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"
-    try:  # only the plant reads the source law; a measured sweep is of T_in
-        sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn))
-        fit = noise_cal.fit_added_noise(sweep, chain, **c["fit"])
-    except DomainError as exc:
-        keys = {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz", "t_in": source}
-        raise _keyed(exc, keys) from None
-    except ArithmeticError:  # the output-referred sweep, or a sum of its fit, overflows
-        raise DomainError(f"{source}: the output-referred sweep or its fit overflows a double") from None
+    sweep, truth, fit = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn),  # only the plant reads the source law
+                               lambda sweep: noise_cal.fit_added_noise(sweep, chain, **c["fit"]),
+                               {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz"})
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     residual_k = sweep.y / chain.watts_per_kelvin - chain.output_temperature(sweep.x, fit.t_add)
     residuals = dict(t_in_k=sweep.x, p_out_w=sweep.y, residual_k=residual_k)
@@ -260,14 +262,9 @@ def cmd_hemt_fit(args) -> int:
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     f_signal = c["f_signal_hz"]
-    source = "synthetic.t_vts_k" if args.synthetic else f"sweep_file {c['sweep_file']}"
-    try:
-        sweep, truth = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn))
-        fit = noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"])
-    except DomainError as exc:
-        raise _keyed(exc, {"t_vts": source, "f_signal": "f_signal_hz"}) from None
-    except ArithmeticError:  # the output-referred sweep, or a sum of its fit, overflows
-        raise DomainError(f"{source}: the output-referred sweep or its fit overflows a double") from None
+    sweep, truth, fit = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn),
+                               lambda sweep: noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"]),
+                               {"f_signal": "f_signal_hz", **({"t_vts": "synthetic.t_vts_k"} if args.synthetic else {})})
     results = {"t_hemt_k": fit.t_hemt, "t_hemt_sigma_k": fit.t_hemt_sigma, "slope": fit.slope}
     return _emit(args, cfg, results, truth=truth, sweep=sweep)
 
@@ -319,18 +316,10 @@ def cmd_field_shift(args) -> int:
     model = cfgmod.parse_field_model(c["field_model"])
 
     def plant(syn, rng):
-        with np.errstate(over="raise"):  # b_max_t - b_min_t overflows
-            b = np.linspace(syn["b_min_t"], syn["b_max_t"], syn["n_points"])
+        b = np.linspace(syn["b_min_t"], syn["b_max_t"], syn["n_points"])
         return synthetic.field_shift_sweep(model, b, syn["noise_abs"], rng)
 
-    try:
-        sweep, truth = _sweep(args, c, plant)
-        fit = env_models.fit_field_shift(sweep, model, **c["fit"])
-    except ArithmeticError:  # B^2, or a sum of the fit, overflows
-        syn = c["synthetic"]
-        source = (f"synthetic.b_min_t = {syn['b_min_t']:g} T and synthetic.b_max_t = {syn['b_max_t']:g} T put"
-                  if args.synthetic else f"sweep_file {c['sweep_file']} puts")
-        raise DomainError(f"{source} the field shift out of float range") from None
+    sweep, truth, fit = _sweep(args, c, plant, lambda sweep: env_models.fit_field_shift(sweep, model, **c["fit"]), {})
     results = {
         "curvature_per_t2": fit.curvature,
         "curvature_sigma_per_t2": fit.curvature_sigma,
@@ -352,8 +341,9 @@ def cmd_temp_shift(args) -> int:
     t = np.linspace(env_models.QUARTIC_T_MIN_K, model.quartic_t_max, 36) if t is None else np.asarray(t, dtype=float)
     try:
         rel = env_models.temp_frequency_shift(t, f_r, model)
-    except ArithmeticError:  # (k_B T / gap)^4 overflows
-        raise DomainError(f"temp_model.critical_temperature_k = {model.t_c:g} K puts the quartic shift out of float range") from None
+    except (ArithmeticError, RuntimeWarning):  # (k_B T / gap)^4, or h f / k_B T, leaves the float range
+        raise DomainError(f"temperatures_k = {t.min():g} to {t.max():g} K and temp_model.critical_temperature_k = {model.t_c:g} K "
+                          "put the temperature shift out of float range") from None
     return _emit(args, cfg, {"f_r_hz": f_r, "n_points": t.size}, dict(t_k=t, rel_shift=rel, delta_f_hz=rel * f_r))
 
 
@@ -368,11 +358,17 @@ def cmd_device_temp(args) -> int:
         rel = c["delta_f_hz"] / f_r
     else:
         raise ConfigError("device-temp needs delta_omega_rel or delta_f_hz")
+    solve = {"t_min": env_models.INVERSION_T_MIN_K, "t_max": model.quartic_t_max, **c["solve"]}
     try:
-        t = env_models.device_temp_from_shift(rel, f_r, model, **c["solve"])
-    except DomainError as exc:
-        keys = {"t_min": "t_min_k", "t_max": "t_max_k" if "t_max" in c["solve"] else "temp_model.critical_temperature_k"}
-        raise _keyed(exc, keys) from None
+        t = env_models.device_temp_from_shift(rel, f_r, model, **solve)
+    except DomainError as exc:  # bounds out of order name the bound at fault (exc.arg)
+        if exc.arg is None:
+            raise
+        key = "t_min_k" if exc.arg == "t_min" else "t_max_k" if "t_max" in c["solve"] else "temp_model.critical_temperature_k"
+        raise DomainError(f"{key}: {exc}") from None
+    except (ArithmeticError, RuntimeWarning):  # (k_B T / gap)^4, or h f / k_B T, leaves the float range
+        raise DomainError(f"t_min_k = {solve['t_min']:g} K, t_max_k = {solve['t_max']:g} K and temp_model.critical_temperature_k = "
+                          f"{model.t_c:g} K put the temperature shift out of float range") from None
     return _emit(args, cfg, {"t_dev_k": t, "rel_shift": rel})
 
 
@@ -439,12 +435,13 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         with warnings.catch_warnings():  # keeps the caller's filters but forgets which warnings were shown, as a new process does
+            warnings.filterwarnings("error", r"(overflow|invalid value|divide by zero) encountered", RuntimeWarning)  # numpy's float errors
             return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         return _error(EXIT_CONFIG, f"configuration error: {exc}")
     except FitError as exc:
         return _error(EXIT_FIT, f"fit error: {exc}")
-    except (DomainError, ArithmeticError) as exc:  # a float out of range is outside the domain too
+    except (DomainError, ArithmeticError, RuntimeWarning) as exc:  # a float out of range is outside the domain too
         return _error(EXIT_DOMAIN, f"domain error: {exc}")
     except KipaLabError as exc:  # pragma: no cover - unexpected subclass
         return _error(1, f"error: {exc}")

@@ -92,9 +92,8 @@ def field_curvature(model: FieldModel, include_misalignment: bool = True) -> flo
 
 def field_frequency_shift(b, model: FieldModel):
     """Relative frequency shift d_omega/omega at parallel field B (even in
-    B), a scalar or an array.  A B^2 that overflows raises ArithmeticError."""
-    with np.errstate(over="raise"):  # an overflowing B^2 is a domain error, not an inf in the result
-        return -field_curvature(model) * b**2
+    B), a scalar or an array."""
+    return -field_curvature(model) * b**2
 
 
 def _bc_pair_breaking_gap(curvature: float, model: FieldModel) -> float:
@@ -129,19 +128,14 @@ def fit_field_shift(
     ``estimate_theta`` and the model provides the conductor width, the
     misalignment angle is decomposed out of the ratio to the isotropic
     curvature.  A critical-field number is produced only under a criterion
-    named from BC_CRITERIA; another name raises ConfigError.  A B^2, or a
-    sum of the fit, that overflows raises ArithmeticError.
+    named from BC_CRITERIA; another name raises ConfigError.
     """
     if bc_criterion is not None and bc_criterion not in BC_CRITERIA:
         raise ConfigError(f"unknown bc_criterion {bc_criterion!r}; known: {', '.join(sorted(BC_CRITERIA))}")
     if len(sweep) < 5:
         raise DomainError("need at least 5 field points for the quadratic fit")
     from .fitkit import proportional_fit
-    try:
-        with np.errstate(over="raise"):  # an overflow is a domain error, not an inf or nan in the fit
-            c, var_c, rchi2 = proportional_fit(-sweep.y, sweep.x**2, sweep.weights)
-    except DomainError:
-        raise DomainError("no point carries weight on the curvature: every B, or every weight*B^4, is zero") from None
+    c, var_c, rchi2 = proportional_fit(-sweep.y, sweep.x**2, sweep.weights)
     if rchi2 > 10.0:
         warnings.warn(
             f"reduced chi^2 = {rchi2:.2f}: data deviate from the quadratic law",
@@ -287,8 +281,7 @@ def _shift_absolute(t, f_r: float, model: TempModel):
     if model.f_delta_tls != 0.0:
         bracket = complex_digamma(0.5 - 1j * x).real - np.log(x)
         tls = model.f_delta_tls / math.pi * bracket
-    with np.errstate(over="raise"):  # an overflowing term is a domain error, not an inf in the result
-        quartic = model.alpha * model.c4 * (BOLTZMANN * t / model.gap) ** 4
+    quartic = model.alpha * model.c4 * (BOLTZMANN * t / model.gap) ** 4
     return tls - quartic
 
 

@@ -84,7 +84,7 @@ def proportional_fit(y: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple:
     wb = w * b
     denom = float(np.sum(wb * b))
     if denom == 0.0:
-        raise DomainError("sum(w*b^2) is zero: no point carries weight on the fitted parameter")
+        raise DomainError("no point carries weight in the fit: each point's weight times its squared regressor is zero")
     p = float(np.sum(wb * y)) / denom
     resid = y - p * b
     dof = y.size - 1

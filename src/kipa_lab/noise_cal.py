@@ -162,14 +162,11 @@ def _half_quantum_coth(f_hz: float, t_k):
 
 def _fit_output_referred(t_in, sweep: SweepRecord, chain: ReceiverChain, free_slope: bool, through: bool):
     """(data, fit, T_noise): P_out and sigma_y over g_tot*k_B*B fitted against
-    t_in, slope pinned to one unless free_slope; T_noise = intercept - T_b;
-    an overflow raises FloatingPointError."""
-    import numpy as np
+    t_in, slope pinned to one unless free_slope; T_noise = intercept - T_b."""
     from .fitkit import SweepRecord, linear_fit
     scale = chain.watts_per_kelvin
-    with np.errstate(over="raise"):  # an overflow is a domain error, not an inf or nan in the fit
-        data = SweepRecord(t_in, sweep.y / scale, None if sweep.sigma_y is None else sweep.sigma_y / scale)
-        res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
+    data = SweepRecord(t_in, sweep.y / scale, None if sweep.sigma_y is None else sweep.sigma_y / scale)
+    res = linear_fit(data, fixed_slope=None if free_slope else 1.0)
     return data, res, float(res.params[1]) - chain.t_backend(through)
 
 

@@ -346,12 +346,14 @@ def test_device_temp_out_of_range_exits_4(tmp_path, capsys):
         (0.01, ("t_max_k",), "t_max_k: need 0 < t_min < t_max (default t_max 0.4 T_c = 2.24 K), got 0.02 K and 0.01 K"),
         (0.04, ("temp_model", "critical_temperature_k"),
          "temp_model.critical_temperature_k: need 0 < t_min < t_max (default t_max 0.4 T_c = 0.016 K), got 0.02 K and 0.016 K"),
+        (1e100, ("t_max_k",),
+         "t_min_k = 0.02 K, t_max_k = 1e+100 K and temp_model.critical_temperature_k = 5.6 K put the temperature shift out of float range"),
     ],
-    ids=["t-min-not-positive", "t-max-below-t-min", "default-t-max-below-t-min"],
+    ids=["t-min-not-positive", "t-max-below-t-min", "default-t-max-below-t-min", "t-max-overflows"],
 )
 def test_device_temp_bounds_name_the_key(tmp_path, capsys, value, path, line):
     # The library checks the bounds; the line names the config key of the bound at fault, which is
-    # critical_temperature_k for a defaulted t_max.
+    # critical_temperature_k for a defaulted t_max.  At 1e100 K, (k_B T / gap)^4 overflows.
     cfg = tmp_path / "temp.json"
     cfg.write_text(_edited("temp.json", value, *path))
     code = cli.main(["device-temp", "--config", str(cfg)])
@@ -733,9 +735,10 @@ def test_non_finite_float_flag_exits_2(capsys, argv, flag):
         ("temp.json", 1e-300, ("temp_model", "critical_temperature_k"), ["temp-shift"]),
         ("sif.json", 1e-300, ("sif", "z_0_ohm"), ["design"]),
         ("temp.json", 1e-300, ("temp_model", "critical_temperature_k"), ["device-temp"]),
+        ("temp.json", [0.1, 1e100], ("temperatures_k",), ["temp-shift"]),
     ],
     ids=["design-z_l", "design-z_h", "chain-propagate-f_hz", "temp-shift-critical-temperature", "design-z_0",
-         "device-temp-critical-temperature"],
+         "device-temp-critical-temperature", "temp-shift-hot-row"],
 )
 def test_extreme_config_value_names_the_key(tmp_path, capsys, config, value, path, argv):
     cfg = tmp_path / config
@@ -880,12 +883,15 @@ def test_vts_inputs_are_checked_for_both_calibrations_in_a_fresh_process(tmp_pat
 
 
 # A field of 1e200 T: B^2 overflows in the fit.  A VTS sweep whose last T row, or P_out row, is 1e300:
-# a square of the fit, or P_out in output-referred kelvin, overflows.
+# a square of the fit, or P_out in output-referred kelvin, overflows.  A VTS sweep whose sigma_y is 1e200
+# on every row: every weight 1/sigma_y^2 underflows to 0.
 EXTREME_SWEEPS = {"field.csv": "0,0\n1,-1e-6\n2,-4e-6\n3,-9e-6\n1e200,-1\n",
                   "hot.csv": "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n1e300,4e-15\n",
-                  "loud.csv": "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n1.5,1e300\n"}
-FIELD_OUT_OF_RANGE = "the field shift out of float range"
-VTS_OVERFLOW = "the output-referred sweep or its fit overflows a double"
+                  "loud.csv": "0.1,1e-15\n0.3,2e-15\n0.9,3e-15\n1.5,1e300\n",
+                  "huge.csv": "0.1,1e-15,1e200\n0.3,2e-15,1e200\n0.9,3e-15,1e200\n2.0,4e-15,1e200\n"}
+WEIGHTLESS = "no point carries weight in the fit: each point's weight times its squared regressor is zero"
+# A gain of 3000 dB to the analyzer and a 1e300 K source: the planted P_out overflows.
+LOUD_PLANT = {"chain": {"total_output_gain_db": 3000}, "synthetic": {"t_vts_k": [1e300, 1.0]}}
 
 
 @pytest.mark.parametrize(
@@ -897,40 +903,47 @@ VTS_OVERFLOW = "the output-referred sweep or its fit overflows a double"
          "domain error: the planted noise (0 absolute, 1e+300 relative) overflows a double"),
         ("compression.json", ["compression", "--synthetic"], 1e-300, ("synthetic", "softness_db"), 0, None),
         ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "b_max_t"), 4,
-         f"domain error: synthetic.b_min_t = 0 T and synthetic.b_max_t = 1e+300 T put {FIELD_OUT_OF_RANGE}"),
+         "domain error: synthetic: overflow encountered in square"),
         ("field.json", ["field-shift", "--synthetic"], -1e160, ("synthetic", "b_min_t"), 4,
-         f"domain error: synthetic.b_min_t = -1e+160 T and synthetic.b_max_t = 6 T put {FIELD_OUT_OF_RANGE}"),
+         "domain error: synthetic: overflow encountered in square"),
         ("field.json", ["field-shift", "--synthetic"], 1e154, ("synthetic", "b_max_t"), 4,
-         f"domain error: synthetic.b_min_t = 0 T and synthetic.b_max_t = 1e+154 T put {FIELD_OUT_OF_RANGE}"),
-        ("field.json", ["field-shift"], "field.csv", ("sweep_file",), 4, f"domain error: sweep_file field.csv puts {FIELD_OUT_OF_RANGE}"),
-        ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "noise_abs"), 4,
-         "domain error: no point carries weight on the curvature: every B, or every weight*B^4, is zero"),
-        ("chain.json", ["noise-fit"], "hot.csv", ("sweep_file",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
-        ("chain.json", ["noise-fit"], True, ("free_slope",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
-        ("chain.json", ["hemt-fit"], "hot.csv", ("sweep_file",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
-        ("chain.json", ["hemt-fit"], True, ("free_slope",), 4, f"domain error: sweep_file hot.csv: {VTS_OVERFLOW}"),
-        ("chain.json", ["noise-fit"], "loud.csv", ("sweep_file",), 4, f"domain error: sweep_file loud.csv: {VTS_OVERFLOW}"),
-        ("chain.json", ["hemt-fit"], "loud.csv", ("sweep_file",), 4, f"domain error: sweep_file loud.csv: {VTS_OVERFLOW}"),
+         "domain error: synthetic: overflow encountered in multiply"),
+        ("field.json", ["field-shift"], "field.csv", ("sweep_file",), 4, "domain error: sweep_file field.csv: overflow encountered in square"),
+        ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "noise_abs"), 4, f"domain error: synthetic: {WEIGHTLESS}"),
+        ("chain.json", ["noise-fit"], "hot.csv", ("sweep_file",), 4, "domain error: sweep_file hot.csv: overflow encountered in square"),
+        ("chain.json", ["noise-fit"], True, ("free_slope",), 4, "domain error: sweep_file hot.csv: overflow encountered in square"),
+        ("chain.json", ["hemt-fit"], "hot.csv", ("sweep_file",), 4, "domain error: sweep_file hot.csv: overflow encountered in square"),
+        ("chain.json", ["hemt-fit"], True, ("free_slope",), 4, "domain error: sweep_file hot.csv: overflow encountered in square"),
+        ("chain.json", ["noise-fit"], "loud.csv", ("sweep_file",), 4, "domain error: sweep_file loud.csv: overflow encountered in divide"),
+        ("chain.json", ["hemt-fit"], "loud.csv", ("sweep_file",), 4, "domain error: sweep_file loud.csv: overflow encountered in divide"),
         ("chain.json", ["noise-fit", "--synthetic"], {"t_vts_k": [1e300, 1.0], "noise_frac": 0.1}, ("synthetic",), 4,
-         f"domain error: synthetic.t_vts_k: {VTS_OVERFLOW}"),
+         "domain error: synthetic: overflow encountered in square"),
         ("chain.json", ["hemt-fit", "--synthetic"], {"t_vts_k": [1e300, 1.0], "noise_frac": 0.1}, ("synthetic",), 4,
-         f"domain error: synthetic.t_vts_k: {VTS_OVERFLOW}"),
+         "domain error: synthetic: overflow encountered in square"),
+        ("chain.json", ["noise-fit", "--synthetic"], LOUD_PLANT, (), 4, "domain error: synthetic: overflow encountered in multiply"),
+        ("chain.json", ["hemt-fit", "--synthetic"], LOUD_PLANT, (), 4, "domain error: synthetic: overflow encountered in multiply"),
+        ("chain.json", ["noise-fit"], "huge.csv", ("sweep_file",), 4, f"domain error: sweep_file huge.csv: {WEIGHTLESS}"),
+        ("chain.json", ["noise-fit", "--synthetic"], {"t_kipa_k": 1e300, "noise_frac": 0.1}, ("synthetic",), 4,
+         f"domain error: synthetic: {WEIGHTLESS}"),
     ],
     ids=["tune-tiny-noise", "tune-overflowing-noise", "compression-sharp-step", "field-overflowing-b-max",
          "field-overflowing-b-min", "field-overflowing-fit-sum", "field-measured-overflow", "field-weightless-noise",
          "noise-measured-overflowing-t", "noise-measured-overflowing-t-free-slope", "hemt-measured-overflowing-t",
          "hemt-measured-overflowing-t-free-slope", "noise-measured-overflowing-p", "hemt-measured-overflowing-p",
-         "noise-overflowing-plant", "hemt-overflowing-plant"],
+         "noise-overflowing-plant", "hemt-overflowing-plant", "noise-overflowing-plant-p", "hemt-overflowing-plant-p",
+         "noise-measured-weightless", "noise-weightless-plant"],
 )
 def test_extreme_plant_prints_no_numpy_warning_in_a_fresh_process(tmp_path, config, argv, value, path, code, message):
     # sigma_y^2 underflowing to 0 (an infinite weight), noise that overflows a double, a logistic whose
     # exp overflows toward its correct limit, a field whose B^2 or fit sums overflow, whether planted or
-    # measured, weights that underflow to 0, and a VTS sweep whose fit overflows, with the slope pinned
-    # or free: one stderr line or none, and a documented exit code.  A chain.json row that edits another
-    # key reads hot.csv.
+    # measured, weights that underflow to 0, a VTS sweep whose fit overflows, with the slope pinned or
+    # free, and a VTS plant whose P_out overflows: one stderr line or none, and a documented exit code.
+    # A chain.json row that edits another key reads hot.csv; a row with no path edits several blocks.
     for name, text in EXTREME_SWEEPS.items():
         (tmp_path / name).write_text(text)
-    doc = json.loads(_edited(config, value, *path))
+    doc = json.loads(_edited(config, value, *path) if path else (CONFIGS / config).read_text())
+    for block, edits in ({} if path else value).items():
+        doc[block].update(edits)
     if config == "chain.json":
         doc.setdefault("sweep_file", "hot.csv")
     cfg = tmp_path / config

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,25 @@ def test_each_call_shows_its_warnings(tmp_path, command, config, block, key, val
     assert len(calls) == 3 and calls[2] == ""
     assert [c.count(f"{category}: ") for c in calls[:2]] == [1, 1], proc.stderr
     assert not any(line.startswith("<string>") for line in proc.stderr.splitlines()), proc.stderr
+
+
+def test_float_errors_end_the_run_under_a_caller_that_ignores_them(tmp_path, capsys):
+    """main() turns numpy's float warnings into a domain error even when its
+    caller ignores RuntimeWarning, and leaves the caller's filters as they
+    were: a 3000 dB gain to the analyzer overflows the planted P_out."""
+    doc = json.loads((CONFIGS / "chain.json").read_text())
+    doc["chain"]["total_output_gain_db"] = 3000
+    doc["synthetic"]["t_vts_k"] = [1e300, 1.0]
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        filters = list(warnings.filters)
+        code = cli.main(["noise-fit", "--config", str(cfg), "--synthetic"])
+        assert warnings.filters == filters
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["domain error: synthetic: overflow encountered in multiply"]
 
 
 @pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=[" ".join(a[:1] + a[3:]) for a in BUNDLE_COMMANDS])

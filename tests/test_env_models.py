@@ -108,7 +108,7 @@ def test_fit_field_shift_undetermined_curvature(b_max, sigma):
     # B^4 underflows to zero long before B does, and 1/sigma^2 underflows to zero at fields that
     # are fine: the solve's own sum decides.
     sweep = SweepRecord(np.linspace(-b_max, b_max, 7), np.full(7, -1e-6), None if sigma is None else np.full(7, sigma))
-    message = "^no point carries weight on the curvature: every B, or every weight\\*B\\^4, is zero$"
+    message = "^no point carries weight in the fit: each point's weight times its squared regressor is zero$"
     with pytest.raises(DomainError, match=message):
         fit_field_shift(sweep, reference_field_model())
 
