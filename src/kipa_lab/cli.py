@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 configuration error, 3 fit/extraction error,
 a closed stderr loses the error line, not the code.  A numpy float warning
 (overflow, invalid value, divide by zero) is a domain error, whatever the
 caller's warning filters.  The sweep commands (compression, noise-fit,
-hemt-fit, field-shift) print a domain error of their plant, read or fit as
-``<where>: <what>``: the config key at fault, else ``synthetic`` or
-``sweep_file <name>``.
+hemt-fit, field-shift, and tune and gain under --synthetic) print a domain
+error of their plant, read or fit as ``<where>: <what>``: the config key at
+fault, else ``synthetic`` or ``sweep_file <name>``.
 Verbosity via the KIPA_LAB_LOG environment variable.
 """
 
@@ -100,13 +100,13 @@ def _write(args, bundle: dict, curve=None, sweep=None) -> str:
 
 
 def _sweep(args, c: dict, plant, fit, keys: dict):
-    """(sweep, truth, fit(sweep)): the sweep planted by ``plant(synthetic_block,
-    seed)`` under --synthetic, else read from the config's sweep_file
-    (relative to the config file) with no truth.  A DomainError, an
-    ArithmeticError or a float RuntimeWarning of the plant, the read or the
-    fit is one DomainError that starts with where it came from: the config
-    key that ``keys`` maps the error's ``arg`` to, else the source,
-    ``synthetic`` or ``sweep_file <name>``."""
+    """(sweep, truth, fit(sweep, truth)): the sweep planted by
+    ``plant(synthetic_block, seed)`` under --synthetic, else read from the
+    config's sweep_file (relative to the config file) with truth None.  A
+    DomainError, an ArithmeticError or a float RuntimeWarning of the plant,
+    the read or the fit is one DomainError that starts with where it came
+    from: the config key that ``keys`` maps the error's ``arg`` to, else the
+    source, ``synthetic`` or ``sweep_file <name>``."""
     if not args.synthetic and c["sweep_file"] is None:
         raise ConfigError("config needs a sweep_file (CSV with x,y[,sigma_y]) unless --synthetic")
     try:
@@ -114,7 +114,7 @@ def _sweep(args, c: dict, plant, fit, keys: dict):
             sweep, truth = plant(c["synthetic"], args.seed)
         else:
             sweep, truth = cfgmod.read_sweep(os.path.join(os.path.dirname(args.config), c["sweep_file"])), None
-        return sweep, truth, fit(sweep)
+        return sweep, truth, fit(sweep, truth)
     except (DomainError, ArithmeticError, RuntimeWarning) as exc:
         source = "synthetic" if args.synthetic else f"sweep_file {c['sweep_file']}"
         raise DomainError(f"{keys.get(getattr(exc, 'arg', None), source)}: {exc}") from None
@@ -144,10 +144,11 @@ def cmd_tune(args) -> int:
     if args.synthetic:
         import numpy as np
         from . import synthetic
-        syn = c["synthetic"]
-        currents = np.linspace(0.0, 0.9 * res.i_sw, syn["n_points"])
-        sweep, truth = synthetic.clem_tuning_sweep(res, currents, syn["noise_frac"], args.seed)
-        fit = ki_device.fit_clem_tuning(sweep, res.f_r0, res.alpha)
+
+        def plant(syn, rng):
+            return synthetic.clem_tuning_sweep(res, np.linspace(0.0, 0.9 * res.i_sw, syn["n_points"]), syn["noise_frac"], rng)
+
+        sweep, truth, fit = _sweep(args, c, plant, lambda sweep, _: ki_device.fit_clem_tuning(sweep, res.f_r0, res.alpha), {})
         model_f = ki_device.clem_frequency(sweep.x, res.f_r0, res.alpha, *fit.params)
         residuals = dict(x=sweep.x, y=sweep.y, model=model_f, residual=sweep.y - model_f)
         results["fit"] = {
@@ -195,10 +196,13 @@ def cmd_gain(args) -> int:
     residuals = None
     if args.synthetic:
         from . import synthetic
-        sweep, truth = synthetic.gain_sweep(cav, curve, c["synthetic"]["noise_db"], args.seed)
-        kappa_hz = truth["kappa_hz"]
-        p0 = [kappa_hz * 1.05, truth["gamma_hz"] + 0.01 * kappa_hz, truth["delta_hz"] + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
-        fit = io_dynamics.fit_gain_curve(sweep, cav.f_pump, p0)
+
+        def recover(sweep, truth):  # from a start near the planted rates
+            kappa_hz = truth["kappa_hz"]
+            p0 = [kappa_hz * 1.05, truth["gamma_hz"] + 0.01 * kappa_hz, truth["delta_hz"] + 0.01 * kappa_hz, truth["xi_hz"] * 0.98]
+            return io_dynamics.fit_gain_curve(sweep, cav.f_pump, p0)
+
+        sweep, truth, fit = _sweep(args, c, lambda syn, rng: synthetic.gain_sweep(cav, curve, syn["noise_db"], rng), recover, {})
         model_y = io_dynamics.gain_db_model(sweep.x, fit.params, cav.f_pump)
         residuals = dict(f_hz=sweep.x, gain_db=sweep.y, model_db=model_y, residual_db=sweep.y - model_y)
         results["fit"] = {
@@ -239,7 +243,7 @@ def cmd_compression(args) -> int:
         grid = np.linspace(syn["p_min_dbm"], syn["p_max_dbm"], syn["n_points"])
         return synthetic.compression_sweep(ssg, syn["p_mid_dbm"], syn["softness_db"], syn["depth_db"], grid, syn["noise_db"], rng)
 
-    sweep, truth, point = _sweep(args, c, plant, lambda sweep: io_dynamics.compression_point(sweep, ssg), {})
+    sweep, truth, point = _sweep(args, c, plant, lambda sweep, _: io_dynamics.compression_point(sweep, ssg), {})
     return _emit(args, cfg, {"small_signal_gain_db": ssg, **point._asdict()}, truth=truth, sweep=sweep)
 
 
@@ -248,7 +252,7 @@ def cmd_noise_fit(args) -> int:
     cfg, c = _load_config(args)
     chain = cfgmod.parse_chain(c["chain"])
     sweep, truth, fit = _sweep(args, c, lambda syn, rng: synthetic.noise_sweep(chain, rng=rng, **syn),  # only the plant reads the source law
-                               lambda sweep: noise_cal.fit_added_noise(sweep, chain, **c["fit"]),
+                               lambda sweep, _: noise_cal.fit_added_noise(sweep, chain, **c["fit"]),
                                {"t_vts": "synthetic.t_vts_k", "f_signal": "synthetic.f_signal_hz", "f_idler": "synthetic.f_idler_hz"})
     t_kipa = noise_cal.kipa_noise_from_added(fit.t_add, chain.g, chain.t_hemt)
     residual_k = sweep.y / chain.watts_per_kelvin - chain.output_temperature(sweep.x, fit.t_add)
@@ -263,7 +267,7 @@ def cmd_hemt_fit(args) -> int:
     chain = cfgmod.parse_chain(c["chain"])
     f_signal = c["f_signal_hz"]
     sweep, truth, fit = _sweep(args, c, lambda syn, rng: synthetic.hemt_sweep(chain, f_signal, rng=rng, **syn),
-                               lambda sweep: noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"]),
+                               lambda sweep, _: noise_cal.fit_hemt_noise(sweep, chain, f_signal, **c["fit"]),
                                {"f_signal": "f_signal_hz", **({"t_vts": "synthetic.t_vts_k"} if args.synthetic else {})})
     results = {"t_hemt_k": fit.t_hemt, "t_hemt_sigma_k": fit.t_hemt_sigma, "slope": fit.slope}
     return _emit(args, cfg, results, truth=truth, sweep=sweep)
@@ -319,7 +323,7 @@ def cmd_field_shift(args) -> int:
         b = np.linspace(syn["b_min_t"], syn["b_max_t"], syn["n_points"])
         return synthetic.field_shift_sweep(model, b, syn["noise_abs"], rng)
 
-    sweep, truth, fit = _sweep(args, c, plant, lambda sweep: env_models.fit_field_shift(sweep, model, **c["fit"]), {})
+    sweep, truth, fit = _sweep(args, c, plant, lambda sweep, _: env_models.fit_field_shift(sweep, model, **c["fit"]), {})
     results = {
         "curvature_per_t2": fit.curvature,
         "curvature_sigma_per_t2": fit.curvature_sigma,

@@ -193,7 +193,11 @@ def peak_gain_db(kappa, gamma, delta, xi, floor_db=-math.inf):
     lies on the curve, so a start that does not converge can only be
     outdone, never overshoot the peak.  The result is bit for bit that of
     _NEWTON_STEPS steps from both starts at every point, but unstable points
-    are not stepped.
+    are not stepped.  The points stepped are gathered by one index array,
+    Q and Q' of both starts are stepped as the four rows of one array
+    (_newton), and the largest N/D is taken in one pass over the four rows
+    of starts and ends: N/D is NaN or above 0, so fmax over the union picks
+    the element that fmax over the starts' and the ends' maxima picks.
 
     With ``floor_db`` set, every stable point first gets a closed-form upper
     bound on its peak.  A point whose bound is more than _BOUND_MARGIN_DB
@@ -223,8 +227,8 @@ def peak_gain_db(kappa, gamma, delta, xi, floor_db=-math.inf):
         e = 1.0 + dd
         a = e - x * x
         peak = _peak_bound_db(k, d, dd, a)
-        keep = ~(peak < floor_db - _BOUND_MARGIN_DB)
-        peak[keep] = _peak_db(*(v[keep] for v in (k, d, dd, e, a, x)))
+        keep = np.flatnonzero(~(peak < floor_db - _BOUND_MARGIN_DB))
+        peak[keep] = _peak_db(*(v.take(keep) for v in (k, d, dd, e, a, x)))
     out[stable] = peak
     return out
 
@@ -258,37 +262,45 @@ def _peak_db(k, d, dd, e, a, x):
     b = 4.0 - 2.0 * a
     cs = (3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d)
     r = np.sqrt(np.maximum(dd - x * x, 0.0))
-    starts = np.stack([r, -r])
-    w = _newton(starts, cs)
-    peak = np.fmax(_gain_ratio(starts, d, a), _gain_ratio(w, d, a))
+    starts = np.array([r, -r])
+    peak = _gain_ratio(np.concatenate((starts, _newton(starts, cs))), d, a)
     return 10.0 * np.log10(k * k * peak)
 
 
 def _newton(w, cs):
-    """w after _NEWTON_STEPS Newton steps on Q (coefficients cs from c4 down,
-    broadcast against w).  A point whose step s+1 returns the bits of step
-    s-1 repeats those two values, so once every point does, the loop stops
-    and the last iterate follows from the parity of the steps left."""
+    """w after _NEWTON_STEPS Newton steps on Q from the two rows of starts w
+    (coefficients cs from c4 down, one per column of w).  Q and Q' of both
+    starts are the four rows of one array, Horner-evaluated on w tiled into
+    four rows: Q = w*1 + c4 and Q' = w*5 + 4 c4, then one multiply by w and
+    one add per stage, and Q's last stage on its two rows.  Each element
+    gets the IEEE operations of separate Q and Q' passes in the same order
+    (w*1 is w, w*5 is 5*w), so the bits are theirs; no operand broadcasts,
+    so each numpy call takes its contiguous loop.  A point whose step s+1
+    returns the bits of step s-1 repeats those two values, so once every
+    point does, the loop stops and the last iterate follows from the parity
+    of the steps left."""
     c4, c3, c2, c1, c0 = cs
-    dcs = ((c3, 3.0 * c3), (c2, 2.0 * c2), (c1, c1))
-    d4, prev = 4.0 * c4, w
+    d4, d3, d2 = 4.0 * c4, 3.0 * c3, 2.0 * c2
+    *stages, last = np.array([c4, c4, d4, d4, c3, c3, d3, d3, c2, c2, d2, d2, c1, c1, c1, c1]).reshape(4, 4, -1)
+    lead = np.repeat([1.0, 5.0], 2 * c4.size).reshape(4, -1)  # the leading coefficients of Q and Q'
+    c0 = np.array([c0, c0])
+    w = prev = np.concatenate((w, w))
     for t in range(_NEWTON_STEPS):
-        q = w + c4
-        dq = 5.0 * w
-        dq += d4
-        for coef, dcoef in dcs:
-            q *= w
-            q += coef
-            dq *= w
-            dq += dcoef
-        q *= w
+        h = w * lead
+        for coef in stages:
+            h += coef
+            h *= w
+        h += last
+        q, dq = h[:2], h[2:]
+        q *= w[:2]
         q += c0
         q /= dq
-        q = w - q
-        if (q.view(np.int64) == prev.view(np.int64)).all():
-            return (q, w)[(_NEWTON_STEPS - t - 1) % 2]
+        h[2:] = q  # the step, in all four rows
+        q = w - h
+        if q.tobytes() == prev.tobytes():  # bit for bit
+            return (q, w)[(_NEWTON_STEPS - t - 1) % 2][:2]
         prev, w = w, q
-    return w
+    return w[:2]
 
 
 def _gain_ratio(w, d, a):
@@ -613,7 +625,9 @@ def find_optimal_pump(
             # Candidate ordering: lowest power first, then highest achieved
             # gain (at equal quantized power the gain peaks at the optimal
             # frequency), then frequency for determinism.
-            best = min((float(p_grid[last[j]]), -float(g_last[j]), float(f_values[j])) for j in hits)
+            p_hit, g_hit, f_hit = p_grid[last[hits]], g_last[hits], f_values[hits]
+            j = np.lexsort((f_hit, -g_hit, p_hit))[0]
+            best = (float(p_hit[j]), -float(g_hit[j]), float(f_hit[j]))
         elif best is None:
             # The best point is read from exact values: the first maximum in
             # ramp order, as a point-by-point scan meets it.

@@ -13,6 +13,7 @@ import io
 import json
 import os
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from . import __version__
@@ -119,10 +120,14 @@ def bundle_json(bundle: dict) -> str:
         raise DomainError(f"the result holds a non-finite number ({exc})") from None
     if table is None:
         return text
-    row = "    {\n" + ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in cells) + "\n    }"
-    rows = ",\n".join(map(row.__mod__, zip(*cells.values())))
+    # Each row's text opens by closing the row before it; the first row's close is sliced off.
+    heads = [f",\n      {json.dumps(k)}: " for k in cells]
+    if heads:
+        heads[0] = "\n    },\n    {\n" + heads[0][2:]
+    columns = chain.from_iterable(zip(map(repeat, heads), cells.values()))  # head 0, cells 0, head 1, cells 1, ...
+    rows = "".join(chain.from_iterable(zip(*columns)))[len("\n    },"):]
     at = text.index('\n  "results": ')  # "residuals" sorts just before; at indent 2 this is the top-level key
-    return text[:at] + '\n  "residuals": ' + (f"[\n{rows}\n  ]" if rows else "[]") + "," + text[at:]
+    return text[:at] + '\n  "residuals": ' + (f"[{rows}\n    }}\n  ]" if rows else "[]") + "," + text[at:]
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:

@@ -900,7 +900,9 @@ LOUD_PLANT = {"chain": {"total_output_gain_db": 3000}, "synthetic": {"t_vts_k": 
         ("device.json", ["tune", "--synthetic"], 1e-300, ("synthetic", "noise_frac"), 3,
          "fit error: sigma_y entries must give a finite weight 1/sigma_y^2, not "),
         ("device.json", ["tune", "--synthetic"], 1e300, ("synthetic", "noise_frac"), 4,
-         "domain error: the planted noise (0 absolute, 1e+300 relative) overflows a double"),
+         "domain error: synthetic: the planted noise (0 absolute, 1e+300 relative) overflows a double"),
+        ("gain.json", ["gain", "--synthetic"], 1e308, ("synthetic", "noise_db"), 4,
+         "domain error: synthetic: the planted noise (1e+308 absolute, 0 relative) overflows a double"),
         ("compression.json", ["compression", "--synthetic"], 1e-300, ("synthetic", "softness_db"), 0, None),
         ("field.json", ["field-shift", "--synthetic"], 1e300, ("synthetic", "b_max_t"), 4,
          "domain error: synthetic: overflow encountered in square"),
@@ -926,7 +928,7 @@ LOUD_PLANT = {"chain": {"total_output_gain_db": 3000}, "synthetic": {"t_vts_k": 
         ("chain.json", ["noise-fit", "--synthetic"], {"t_kipa_k": 1e300, "noise_frac": 0.1}, ("synthetic",), 4,
          f"domain error: synthetic: {WEIGHTLESS}"),
     ],
-    ids=["tune-tiny-noise", "tune-overflowing-noise", "compression-sharp-step", "field-overflowing-b-max",
+    ids=["tune-tiny-noise", "tune-overflowing-noise", "gain-overflowing-noise", "compression-sharp-step", "field-overflowing-b-max",
          "field-overflowing-b-min", "field-overflowing-fit-sum", "field-measured-overflow", "field-weightless-noise",
          "noise-measured-overflowing-t", "noise-measured-overflowing-t-free-slope", "hemt-measured-overflowing-t",
          "hemt-measured-overflowing-t-free-slope", "noise-measured-overflowing-p", "hemt-measured-overflowing-p",

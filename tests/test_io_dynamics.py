@@ -486,6 +486,32 @@ def test_grid_search_counts_only_what_the_ramps_visit():
     assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
 
 
+# Laws whose rows stop at -50 dBm, and the point the search must choose.  gain-breaks-tie: every
+# row reaches a different gain there, highest at 10.437 GHz.  frequency-breaks-tie: every row reaches
+# exactly 20.5 dB, so the lowest frequency wins.  power-first: rows at or above 10.5 GHz stop there at
+# 20.2 dB, the rest only at -45 dBm, with 25 dB.
+TIE_LAWS = {
+    "gain-breaks-tie": (lambda f, p: np.where(p >= -50.0, 21.0 - ((f - 1.0437e10) / 1e9) ** 2, 10.0), (1.0437e10, -50.0, 21.0)),
+    "frequency-breaks-tie": (lambda f, p: np.where(p >= -50.0, 20.5, 10.0) + 0.0 * f, (1.0e10, -50.0, 20.5)),
+    "power-first": (lambda f, p: np.where(f >= 1.05e10, np.where(p >= -50.0, 20.2, 10.0), np.where(p >= -45.0, 25.0, 10.0)),
+                    (1.05e10, -50.0, 20.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_LAWS))
+def test_grid_search_orders_candidates_by_power_then_gain_then_frequency(case):
+    rows, (f_want, p_want, g_want) = TIE_LAWS[case]
+
+    def law(f, p, floor_db=-math.inf):
+        return rows(f, p)
+
+    got = find_optimal_pump(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=11, refine_to_hz=1e6)
+    want = scalar_ramp_search(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=11, refine_to_hz=1e6)
+    assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
+    assert got.success and got.message == "refined to 1e+06 Hz frequency resolution"
+    assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db) == (pytest.approx(f_want, abs=1.0), p_want, pytest.approx(g_want, abs=1e-12))
+
+
 def test_compression_point_published_numbers():
     p = np.linspace(-110.0, -75.0, 141)
     gain = 21.0 - np.clip(0.1 * (p + 96.0), 0.0, None)
