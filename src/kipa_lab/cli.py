@@ -43,7 +43,7 @@ EXIT_FIT = 3
 EXIT_DOMAIN = 4
 EXIT_SIGPIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
-_parser = None  # the parser of this process, built by the first main() call
+_parsers: dict = {}  # command (None: every command) -> its parser, built by the first main() call that needs it
 
 
 def _log(level: str, msg: str, *args) -> None:
@@ -380,11 +380,10 @@ def cmd_reproduce(args) -> int:
     from .reproduce import run_fixture
     results = run_fixture(args.fixture)
     all_pass = all(r.passed for r in results)
-    fields = ("fixture", "passed", "measured", "expected", "tolerance", "description")
-    checks = [{k: getattr(r, k) for k in fields} for r in results]
-    bundle = make_bundle("reproduce", {"fixture": args.fixture, "seed": args.seed}, {"all_passed": all_pass, "checks": checks})
-    if args.out:
-        _write(args, bundle)
+    if args.out:  # the bundle is written, never printed
+        fields = ("fixture", "passed", "measured", "expected", "tolerance", "description")
+        checks = [{k: getattr(r, k) for k in fields} for r in results]
+        _write(args, make_bundle("reproduce", {"fixture": args.fixture, "seed": args.seed}, {"all_passed": all_pass, "checks": checks}))
     for r in results:
         print(r.line())
     return EXIT_OK if all_pass else 1
@@ -417,15 +416,21 @@ COMMON_ARGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new argparse tree over COMMANDS; main() builds one per process."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """A new argparse tree over COMMANDS, or over only its ``command`` row;
+    main() builds each tree it needs once per process."""
     parser = argparse.ArgumentParser(
         prog="kipa-lab",
         description="Modeling, simulation and parameter extraction for dc-biased "
         "three-wave-mixing kinetic-inductance parametric amplifiers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, extra) in COMMANDS.items():
+    # A one-command tree names every command in its usage line, which a usage error prints, as the full tree
+    # does.  The full tree takes no metavar: argparse would name the action by it in "required" and
+    # "invalid choice" errors, where the full tree says "command".
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        helptext, extra = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
         for flag, kwargs in {**COMMON_ARGS, **extra}.items():
             p.add_argument(flag, **kwargs)
@@ -433,10 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None  # no command, -h or a usage error: the full tree
+    if command not in _parsers:
+        _parsers[command] = build_parser(command)
+    args = _parsers[command].parse_args(argv)
     try:
         with warnings.catch_warnings():  # keeps the caller's filters but forgets which warnings were shown, as a new process does
             warnings.filterwarnings("error", r"(overflow|invalid value|divide by zero) encountered", RuntimeWarning)  # numpy's float errors

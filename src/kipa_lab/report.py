@@ -8,13 +8,17 @@ byte-identical result document.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Optional, Sequence
+
+try:  # CPython's built-in SHA-256, which hashlib falls back to: hashlib itself loads OpenSSL (_hashlib), ~2.5 ms of a fresh process
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it _sha2, and some builds leave it out
+    from hashlib import sha256
 
 from . import __version__
 from .errors import DomainError
@@ -93,7 +97,7 @@ def config_hash(cfg: dict) -> str:
     """SHA-256 of the canonical (sorted-key, compact) JSON encoding; stable
     under key reordering of the source document."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def make_bundle(command: str, inputs: dict, results: dict, residuals: Optional[dict] = None) -> dict:

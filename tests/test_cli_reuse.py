@@ -1,13 +1,18 @@
 """Repeated in-process calls of kipa_lab.cli.main.
 
-main() builds its argparse tree once per process and reuses it, so no flag
-of one call may reach the next, and each call shows its own warnings, as a
-fresh process would.  Each bundle is encoded once: the files under
---out hold the very text printed on stdout.  The perfbench tracer wraps the
+main() builds the argparse tree of each command once per process, the first
+time it runs that command (the tree of every command for a call that names
+none), and reuses it, so no flag of one call may reach the next.  A
+one-command tree gives the exit status, stdout and stderr of the full tree,
+help and usage errors included.  Each call shows its own warnings, as a
+fresh process would.  Each bundle is encoded once: the files under --out
+hold the very text printed on stdout.  The perfbench tracer wraps the
 CLI from outside; its spans must see every handler call and must not stack
 up over many calls.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -52,18 +57,66 @@ def _results(capsys, *argv):
     return json.loads(capsys.readouterr().out)["results"]
 
 
-def test_three_calls_build_the_parser_once(monkeypatch, capsys):
+def test_each_command_builds_its_parser_once(monkeypatch, capsys):
     calls = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
-    for argv in (["design", "--config", "sif.json"], ["squeeze", "--config", "budget.json"], ["tune", "--config", "device.json"]):
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command) or build(command))
+    for argv in (["design", "--config", "sif.json"], ["squeeze", "--config", "budget.json"], ["design", "--config", "sif.json"],
+                 ["tune", "--config", "device.json"], ["squeeze", "--config", "budget.json"]):
         _results(capsys, *argv)
-    assert len(calls) == 1
+    assert calls == ["design", "squeeze", "tune"]
 
 
 def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser("gain") is not cli.build_parser("gain")
+
+
+# argv lists that main() parses with a one-command tree (argv[0] is a command) or the full tree (it is not).
+PARITY_ARGV = [
+    [], ["-h"],
+    ["bogus"], ["gai"], ["Design"],
+    ["gain", "-h"], ["gain", "--bogus"], ["design", "-h", "--bogus"],
+    ["--format", "xml"], ["gain", "--format", "xml"], ["design", "--seed", "-1"], ["tune", "--current", "nan"],
+    ["gain", "--config"],
+    ["design", "--conf", "sif.json"],
+    ["reproduce", "all", "extra"],
+    ["squeeze", "--config", "budget.json", "--s", "0.99", "--gx-db", "-2.95"],
+]
+
+
+def _outcome(argv):
+    """(exit status, stdout, stderr) of one main() call, a usage error's SystemExit included."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(_argv(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=[" ".join(a) or "no-args" for a in PARITY_ARGV])
+def test_one_command_tree_prints_what_the_full_tree_prints(monkeypatch, argv):
+    """A usage error of a one-command tree prints the usage line of every
+    command, and argparse names no action by that line, as the full tree does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parsers", {})
+    one = _outcome(argv)
+    assert cli._parsers.keys() == {argv[0] if argv and argv[0] in cli.COMMANDS else None}
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert one == _outcome(argv)
+
+
+@pytest.mark.parametrize("argv, error", [([], "the following arguments are required: command"),
+                                         (["gai"], "argument command: invalid choice: 'gai' (choose from 'design', ")],
+                         ids=["no-args", "gai"])
+def test_full_tree_names_the_command_action(argv, error):
+    """The full tree's subparsers action has no metavar, so its errors call it "command"."""
+    code, out, err = _outcome(argv)
+    assert (code, out) == (2, "") and err.splitlines()[-1].startswith("kipa-lab: error: " + error)
 
 
 def test_tune_current_does_not_reach_the_next_call(tmp_path, capsys):
@@ -167,7 +220,7 @@ TRACED = textwrap.dedent(
     from kipa_lab import cli
 
     config, out = sys.argv[1], sys.argv[2]
-    with contextlib.redirect_stdout(io.StringIO()):  # the parser exists before tracing starts
+    with contextlib.redirect_stdout(io.StringIO()):  # design's parser exists before tracing starts, gain's is built under it
         assert cli.main(["design", "--config", config + "/sif.json"]) == 0
     tr = tracer.Tracer()
     tracer.install(tr)
@@ -183,11 +236,11 @@ TRACED = textwrap.dedent(
 
 
 def test_tracer_sees_each_handler_and_does_not_stack(tmp_path):
-    """The tracer replaces cli's cmd_* and report's functions after the
-    parser exists; main() must run the replaced handlers, encode each bundle
-    once, and stay flat over many calls, as when build_parser returns a new
-    parser for the tracer to wrap.  Run in a subprocess so the wrappers stay
-    out of this one."""
+    """The tracer replaces cli's cmd_* and report's functions after one
+    command's parser exists; main() must run the replaced handlers, encode
+    each bundle once, and stay flat over many calls, as when build_parser
+    returns a new parser for the tracer to wrap.  Run in a subprocess so the
+    wrappers stay out of this one."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED, str(CONFIGS), str(tmp_path / "out")],

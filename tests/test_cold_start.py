@@ -12,8 +12,10 @@ under ``-X importtime``, pin the kipa_lab modules each one loads, and whether it
 loads numpy at all; ``design``, ``squeeze``, ``chain-propagate`` and plain
 ``tune`` do not.  The same runs pin what a run loads only for the work that
 needs it: numpy's RNG only where it draws noise, the fit engine only where it
-fits, ``logging`` only for a record that passes KIPA_LAB_LOG, unset here, and
-orjson only where a float column is encoded (a residual table).
+fits, ``logging`` only for a record that passes KIPA_LAB_LOG, unset here,
+orjson only where a float column is encoded (a residual table), and OpenSSL
+(``_hashlib``) only through numpy's RNG: the config hash uses CPython's
+built-in ``_sha256``, and ``hashlib`` where that module is missing.
 A ``kipa-lab`` process runs ``cli.run``: it ends with the cyclic collector off
 and its heap frozen, a closed stdout ends it with exit 141 and no stderr, and
 a closed stderr loses the error line but not the exit code.  In-process
@@ -165,6 +167,25 @@ def test_orjson_loads_only_to_encode_a_float_column():
 
 def test_default_log_level_loads_no_logging():
     assert _cases_loading("logging") == set()
+
+
+def test_openssl_loads_only_with_the_rng():
+    # numpy.random imports secrets, which imports hmac, which imports _hashlib.
+    assert not {"hashlib", "_hashlib"} & _imported(_run("-X", "importtime", "-c", "import kipa_lab.cli").stderr)
+    assert _cases_loading("_hashlib") == DRAWS
+
+
+def test_config_hash_without_the_builtin_sha256_module():
+    code = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha256'] = None\n"
+        "from kipa_lab import report\n"
+        "cfg = {'b': [1.5, None], 'a': {'z': 'x', 'y': float('nan')}}\n"
+        "canon = json.dumps(cfg, sort_keys=True, separators=(',', ':'), allow_nan=True)\n"
+        "assert report.sha256 is hashlib.sha256\n"
+        "print(report.config_hash(cfg) == hashlib.sha256(canon.encode('utf-8')).hexdigest())"
+    )
+    assert _python("-c", code).strip() == "True"
 
 
 @pytest.mark.parametrize("case, argv, laws, numpy", COLD_CASES, ids=[c[0].replace(" --", "-").replace(" ", "-") for c in COLD_CASES])
