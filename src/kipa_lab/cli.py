@@ -226,7 +226,14 @@ def cmd_pump_search(args) -> int:
     search = c["search"]
     if search["f_bounds"] is None:
         search["f_bounds"] = [2.0 * law.f_r_hz - 2e8, 2.0 * law.f_r_hz + 2e8]
-    result = io_dynamics.find_optimal_pump(law.peak_gain_db, **search)
+    try:
+        result = io_dynamics.find_optimal_pump(law, **search)
+    except DomainError as exc:  # a degenerate search names the argument at fault (exc.arg)
+        if exc.arg is None:
+            raise
+        value = search[exc.arg]
+        shown = f"[{value[0]:g}, {value[1]:g}]" if isinstance(value, list) else f"{value:g}"
+        raise DomainError(f"search.{'f_bounds_hz' if exc.arg == 'f_bounds' else exc.arg} = {shown}: {exc}") from None
     code = _emit(args, cfg, dataclasses.asdict(result))
     if not result.success:
         _log("WARNING", "pump search failed: %s", result.message)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ _POLE_GUARD = 1e-12
 # threshold, 10 reach the peak to 1e-12 dB; the rest is margin.
 _NEWTON_STEPS = 16
 
-# How far below floor_db the closed-form bound of peak_gain_db must lie
-# before a point is not stepped; covers the rounding of bound and kernel.
+# How far below the target _threshold_xi's bound must lie (rounding of bound and kernel).
 _BOUND_MARGIN_DB = 1e-6
 
 # Cap on the tenfold refinements of the pump-search frequency grid; the
@@ -177,7 +176,7 @@ def idler_gain(cav: PumpedCavity, f_hz, allow_unstable: bool = False):
     return complex(g) if np.isscalar(f_hz) else g
 
 
-def peak_gain_db(kappa, gamma, delta, xi, floor_db=-math.inf):
+def peak_gain_db(kappa, gamma, delta, xi):
     """Maximum over the signal offset of 10*log10|g_s|^2, elementwise.
 
     Takes broadcastable arrays of rates in one unit (xi by magnitude) and
@@ -192,79 +191,61 @@ def peak_gain_db(kappa, gamma, delta, xi, floor_db=-math.inf):
     largest gain at the starts and where the steps end.  Every point taken
     lies on the curve, so a start that does not converge can only be
     outdone, never overshoot the peak.  The result is bit for bit that of
-    _NEWTON_STEPS steps from both starts at every point, but unstable points
-    are not stepped.  The points stepped are gathered by one index array,
-    Q and Q' of both starts are stepped as the four rows of one array
-    (_newton), and the largest N/D is taken in one pass over the four rows
-    of starts and ends: N/D is NaN or above 0, so fmax over the union picks
-    the element that fmax over the starts' and the ends' maxima picks.
-
-    With ``floor_db`` set, every stable point first gets a closed-form upper
-    bound on its peak.  A point whose bound is more than _BOUND_MARGIN_DB
-    below ``floor_db`` is not stepped and returns the bound, a value below
-    ``floor_db``; every other point returns the bits it returns without
-    ``floor_db``.  The bound: with q = d^2 - x^2 = a - 1 and v = 1 + w^2,
-    D = (v - q)^2 + 4q, and N <= (1 + t) v with
-    t = (d^2 + |d| sqrt(d^2 + 4))/2, as 1 + t is the larger eigenvalue of
-    [[1, d], [d, 1 + d^2]], the matrix of N as a form in (w, 1).  The slope
-    of v/D has the sign of q^2 + 4q - v^2, so over v >= 1 it peaks at
-    F = 1/a^2 if q^2 + 4q <= 1, and otherwise at v* = sqrt(q^2 + 4q), where
-    D = 2 v*(v* - q) and F = (q + v*)/(8q).  Hence
-    |g_s|^2 <= k^2 (1 + t) F, with equality at Delta = 0: there t = 0, and
-    bound and kernel both compute k^2/a^2, to the bit.  The bound is taken
-    for the kernel's own rounded a, so the margin need only cover the
-    rounding of N/D and of the bound: a few ulp, up to about |d| ulp where
-    w^2 nearly cancels a, against the 2.3e-7 relative that 1e-6 dB allows.
+    _NEWTON_STEPS steps from both starts at every stable point (_newton);
+    N/D is NaN or above 0, so one fmax over starts and ends is exact.
     """
     kappa = np.asarray(kappa, dtype=float)
     kb = kappa + np.asarray(gamma, dtype=float) / 2.0
     delta, xi = np.asarray(delta, dtype=float), np.abs(xi)
     stable = drift_stable(kb, delta, xi)
     out = np.full(stable.shape, np.nan)
-    k, d, x = (np.broadcast_to(v, stable.shape)[stable] for v in (kappa / kb, delta / kb, xi / kb))
+    out[stable] = _peak_db(*(np.broadcast_to(v, stable.shape)[stable] for v in (kappa / kb, delta / kb, xi / kb)))
+    return out
+
+
+def _peak_db(k, d, x):
+    """peak_gain_db's kernel on the gathered, scaled stable points."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dd = d * d
         e = 1.0 + dd
         a = e - x * x
-        peak = _peak_bound_db(k, d, dd, a)
-        keep = np.flatnonzero(~(peak < floor_db - _BOUND_MARGIN_DB))
-        peak[keep] = _peak_db(*(v.take(keep) for v in (k, d, dd, e, a, x)))
-    out[stable] = peak
-    return out
+        b = 4.0 - 2.0 * a
+        cs = (3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d)
+        r = np.sqrt(np.maximum(dd - x * x, 0.0))
+        starts = np.array([r, -r])
+        peak = _gain_ratio(np.concatenate((starts, _newton(starts, cs))), d, a)
+        return 10.0 * np.log10(k * k * peak)
 
 
-def _peak_bound_db(k, d, dd, a):
-    """The upper bound k^2 (1 + t) F of peak_gain_db's docstring, in dB, on
-    gathered scaled rates (dd = d*d and a as the kernel computes them)."""
-    bound = np.sqrt(dd + 4.0)
-    bound *= np.abs(d)
-    bound += dd
-    bound *= 0.5
-    bound += 1.0
-    bound *= k * k
-    q = a - 1.0
-    s = q + 4.0
-    s *= q
-    f = a * a
-    np.divide(1.0, f, out=f)
-    high = s > 1.0
-    if high.any():
-        q = q[high]
-        f[high] = (q + np.sqrt(s[high])) / (8.0 * q)
-    bound *= f
-    np.log10(bound, out=bound)
-    bound *= 10.0
-    return bound
-
-
-def _peak_db(k, d, dd, e, a, x):
-    """The Newton kernel of peak_gain_db on gathered stable points."""
-    b = 4.0 - 2.0 * a
-    cs = (3.0 * d, 2.0 * e, b * d, b * e - a * a, -a * a * d)
-    r = np.sqrt(np.maximum(dd - x * x, 0.0))
-    starts = np.array([r, -r])
-    peak = _gain_ratio(np.concatenate((starts, _newton(starts, cs))), d, a)
-    return 10.0 * np.log10(k * k * peak)
+def _threshold_xi(kappa, gamma, delta, floor_db):
+    """Per detuning (an array), the |xi| below which no stable point's
+    peak_gain_db reaches floor_db (0 if unknown).  With q = d^2 - x^2 = a - 1 and
+    v = 1 + w^2, D = (v - q)^2 + 4q and N <= (1 + t) v, 1 + t the larger
+    eigenvalue of N's form [[1, d], [d, e]] in (w, 1).  v/D slopes as
+    q^2 + 4q - v^2: over v >= 1 it peaks at F = 1/a^2 if q^2 + 4q <= 1,
+    else at (q + v*)/(8q), v* = sqrt(q^2 + 4q).  So |g_s|^2 <= k^2 (1 + t) F,
+    equal at Delta = 0, and F > 1/4 rises with |xi|.  The level
+    F = 10^((floor_db - _BOUND_MARGIN_DB)/10)/(k^2 (1 + t)) is met at
+    a = F^(-1/2) if F >= (3 + sqrt 5)/8, at q = 4/((8F - 1)^2 - 1) if
+    F > 1/4, else at every point.  Below kappa_bar sqrt((1 - 8 eps) e - a)
+    the kernel's rounded a is above that, so the margin covers only the
+    rounding of N/D and the bound, up to about |d| ulp.  Rows with
+    |d| > 1e6 or k^2 < 1e-300 (a peak may underflow to -inf: a stop) step
+    every stable point; capping F keeps a^2 and the peaks below in range."""
+    kb = kappa + gamma / 2.0
+    k, d = kappa / kb, delta / kb
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dd = d * d
+        e = 1.0 + dd
+        f = np.power(10.0, (floor_db - _BOUND_MARGIN_DB) / 10.0) / (k * k * (1.0 + 0.5 * (dd + np.abs(d) * np.sqrt(dd + 4.0))))
+        f = np.minimum(f, 1e250)
+        a = f**-0.5
+        high = f < (3.0 + 5.0**0.5) / 8.0
+        if high.any():
+            f = f[high]
+            a[high] = np.where(f > 0.25, 1.0 + 4.0 / ((8.0 * f - 1.0) ** 2 - 1.0), np.inf)
+        xi = kb * np.sqrt((1.0 - 8 * 2.0**-52) * e - a)
+    return np.where((xi > 0.0) & (dd <= 1e12) & (k * k >= 1e-300), xi, 0.0)
 
 
 def _newton(w, cs):
@@ -533,18 +514,41 @@ class PumpMap:
         if not self.xi_hz_per_sqrt_mw > 0.0:
             raise DomainError("coupling must be positive")
 
-    def peak_gain_db(self, f_pump_hz, p_pump_dbm, floor_db=-math.inf) -> np.ndarray:
-        """Peak gain in dB on broadcast arrays of pump frequency (Hz) and
-        power (dBm), NaN in the self-oscillation regime, with a bound below
-        ``floor_db`` in place of a peak below it (peak_gain_db); the grid
-        evaluator of find_optimal_pump.  A power too large for a double
-        gives an infinite |xi|, which self-oscillates."""
+    def _rates(self, f_pump_hz, p_pump_dbm):
+        """(Delta, |xi|) in Hz; |xi| = inf past a double."""
         f_pump_hz = np.asarray(f_pump_hz, dtype=float)
         if np.any(f_pump_hz <= 0.0):
             raise DomainError("pump frequency must be positive")
         with np.errstate(over="ignore"):
             xi_hz = self.xi_hz_per_sqrt_mw * 10.0 ** (np.asarray(p_pump_dbm, dtype=float) / 20.0)
-        return peak_gain_db(self.kappa_hz, self.gamma_hz, self.f_r_hz - f_pump_hz / 2.0, xi_hz, floor_db)
+        return self.f_r_hz - f_pump_hz / 2.0, xi_hz
+
+    def peak_gain_db(self, f_pump_hz, p_pump_dbm) -> np.ndarray:
+        """peak_gain_db on broadcast arrays of pump frequency (Hz) and power (dBm)."""
+        return peak_gain_db(self.kappa_hz, self.gamma_hz, *self._rates(f_pump_hz, p_pump_dbm))
+
+    def first_stops(self, f_pump_hz, p_pump_dbm, target_db):
+        """(stops, peaks): for each frequency of the 1-d f_pump_hz (Hz), the
+        first index of the 1-d ramp p_pump_dbm (dBm) that self-oscillates or
+        whose peak is not finite or reaches target_db (p_pump_dbm.size if
+        none), and that peak (NaN if none).  Only the band of a row's stable
+        prefix (drift_stable) above _threshold_xi is stepped, both found on a
+        running maximum of |xi|."""
+        delta, xi = self._rates(f_pump_hz, p_pump_dbm)
+        kb = self.kappa_hz + self.gamma_hz / 2.0
+        reach = np.maximum.accumulate(xi)
+        end = np.searchsorted(reach, np.hypot(kb, delta))
+        start = np.minimum(np.searchsorted(reach, _threshold_xi(self.kappa_hz, self.gamma_hz, delta, target_db)), end)
+        n = end - start
+        rows = np.repeat(np.arange(n.size), n)
+        cols = np.arange(rows.size) + np.repeat(start - np.cumsum(n) + n, n)
+        g = _peak_db(self.kappa_hz / kb, (delta / kb)[rows], (xi / kb)[cols])
+        i = np.flatnonzero(~np.isfinite(g) | (g >= target_db))
+        hit = rows[i]
+        i = i[hit != np.concatenate(([-1], hit[:-1]))]  # the first stop of each row
+        stops, peaks = end, np.full(n.size, np.nan)
+        stops[rows[i]], peaks[rows[i]] = cols[i], g[i]
+        return stops, peaks
 
 
 @dataclass
@@ -566,7 +570,7 @@ class PumpSearchResult:
 
 
 def find_optimal_pump(
-    evaluator: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+    law: PumpMap,
     target_db: float,
     f_bounds: Tuple[float, float],
     p_bounds_dbm: Tuple[float, float],
@@ -576,33 +580,26 @@ def find_optimal_pump(
 ) -> PumpSearchResult:
     """Grid search for the cheapest pump setting reaching a target gain.
 
-    ``evaluator(f_pump_hz, p_pump_dbm, floor_db)`` takes a column of pump
-    frequencies, a row of pump powers and a gain floor in dB, and returns
-    the peak gain in dB on the whole (f_pump x P_pump) grid, non-finite where
-    the cavity self-oscillates.  Where the peak is below ``floor_db`` it may
-    return any finite value below ``floor_db`` instead, as
-    peak_gain_db(..., floor_db) does from its closed-form bound; with
-    ``floor_db = -inf`` every value is exact.  It is called once per level
-    of the search with ``floor_db = target_db``: a point below the target
-    neither stops a ramp nor becomes a candidate, whatever its value.  Each
-    row is replayed as a power ramp from the lowest power, which stops at
-    the first point that is non-finite or reaches the target.  Only the
-    points a ramp visits count: they give the candidates,
-    ``self_oscillation`` and ``n_evaluations``.  The frequency grid is
+    ``law`` is a PumpMap or has its first_stops and peak_gain_db.  Each
+    level calls ``law.first_stops`` once, for where each frequency's
+    ramp over the powers from p_lo in steps of ``p_step_db`` stops and the
+    exact peak there.  Only the points a ramp visits count: they give the
+    candidates, ``self_oscillation`` and ``n_evaluations``.  The grid is
     refined tenfold around the best candidate until its spacing is at most
     ``refine_to_hz``, at most _MAX_REFINEMENTS times.  If the coarse level
-    has no candidate, the search fails and calls the evaluator once more on
-    that grid with ``floor_db = -inf``, to report the highest gain the ramps
-    visited.  A level of more than _MAX_GRID_POINTS points is a DomainError,
-    raised before any grid is built.
+    has no candidate, the search fails and reads its grid through
+    ``law.peak_gain_db`` for the highest gain the ramps visited.  A
+    degenerate search is a DomainError whose ``arg`` names the first
+    argument at fault; a level of more than _MAX_GRID_POINTS points is one
+    without, raised before any grid is built.
     """
     f_lo, f_hi = f_bounds
     p_lo, p_hi = p_bounds_dbm
-    if not (f_hi > f_lo and p_hi >= p_lo and n_f_coarse >= 2 and p_step_db > 0 and refine_to_hz > 0):
-        raise DomainError(
-            "search bounds must be ordered: need f_hi > f_lo, p_hi >= p_lo, n_f_coarse >= 2, "
-            "p_step_db > 0 and refine_to_hz > 0"
-        )
+    for arg, ok, need in (("f_bounds", f_hi > f_lo, "f_hi > f_lo"), ("p_bounds_dbm", p_hi >= p_lo, "p_hi >= p_lo"),
+                          ("n_f_coarse", n_f_coarse >= 2, "n_f_coarse >= 2"), ("p_step_db", p_step_db > 0, "p_step_db > 0"),
+                          ("refine_to_hz", refine_to_hz > 0, "refine_to_hz > 0")):
+        if not ok:
+            raise DomainError(f"need {need}", arg=arg)
     # A refined level spans twice the previous step in tenths: at most 21 frequencies.
     n_level = max(n_f_coarse, 21) * ((p_hi - p_lo) / p_step_db + 1.0)
     if not n_level <= _MAX_GRID_POINTS:
@@ -613,25 +610,22 @@ def find_optimal_pump(
     step = (f_hi - f_lo) / (n_f_coarse - 1)
     n_eval, osc, best = 0, False, None
     for level in range(_MAX_REFINEMENTS + 1):
-        g = evaluator(f_values[:, None], p_grid[None, :], target_db)
-        stop = ~np.isfinite(g) | (g >= target_db)
-        stopped = stop.any(axis=1)
-        last = np.where(stopped, stop.argmax(axis=1), p_grid.size - 1)
-        g_last = g[np.arange(f_values.size), last]
+        stop, g = law.first_stops(f_values, p_grid, target_db)
+        last = np.minimum(stop, p_grid.size - 1)
         n_eval += int(last.sum()) + f_values.size
-        osc |= bool(np.any(stopped & ~np.isfinite(g_last)))
-        hits = np.flatnonzero(stopped & np.isfinite(g_last))
+        osc |= bool(np.any((stop < p_grid.size) & ~np.isfinite(g)))
+        hits = np.flatnonzero(np.isfinite(g))
         if hits.size:
             # Candidate ordering: lowest power first, then highest achieved
             # gain (at equal quantized power the gain peaks at the optimal
             # frequency), then frequency for determinism.
-            p_hit, g_hit, f_hit = p_grid[last[hits]], g_last[hits], f_values[hits]
+            p_hit, g_hit, f_hit = p_grid[stop[hits]], g[hits], f_values[hits]
             j = np.lexsort((f_hit, -g_hit, p_hit))[0]
             best = (float(p_hit[j]), -float(g_hit[j]), float(f_hit[j]))
         elif best is None:
             # The best point is read from exact values: the first maximum in
             # ramp order, as a point-by-point scan meets it.
-            g = evaluator(f_values[:, None], p_grid[None, :], -math.inf)
+            g = law.peak_gain_db(f_values[:, None], p_grid[None, :])
             seen = np.where((np.arange(p_grid.size) <= last[:, None]) & np.isfinite(g), g, -math.inf)
             i_f, i_p = np.unravel_index(np.argmax(seen), seen.shape)
             found = seen[i_f, i_p] > -math.inf

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -571,19 +572,30 @@ def test_pump_search_bad_map_exits_2_naming_the_block(tmp_path, capsys, key, val
 
 
 @pytest.mark.parametrize(
-    "settings",
-    [{"n_f_coarse": 1}, {"p_step_db": 0}, {"p_step_db": -0.25}, {"refine_to_hz": 0}],
-    ids=["one-frequency", "zero-power-step", "negative-power-step", "zero-resolution"],
+    "settings, line",
+    [
+        ({"n_f_coarse": 1}, "search.n_f_coarse = 1: need n_f_coarse >= 2"),
+        ({"p_step_db": 0}, "search.p_step_db = 0: need p_step_db > 0"),
+        ({"p_step_db": -0.25}, "search.p_step_db = -0.25: need p_step_db > 0"),
+        ({"refine_to_hz": 0}, "search.refine_to_hz = 0: need refine_to_hz > 0"),
+        ({"f_bounds_hz": [1.1367e10, 1.1327e10]}, "search.f_bounds_hz = [1.1367e+10, 1.1327e+10]: need f_hi > f_lo"),
+        ({"p_bounds_dbm": [-40.0, -60.0]}, "search.p_bounds_dbm = [-40, -60]: need p_hi >= p_lo"),
+        # Two keys at fault: the line names the first of the library's order.
+        ({"p_bounds_dbm": [-40.0, -60.0], "refine_to_hz": 0}, "search.p_bounds_dbm = [-40, -60]: need p_hi >= p_lo"),
+    ],
+    ids=["one-frequency", "zero-power-step", "negative-power-step", "zero-resolution", "reversed-frequencies",
+         "reversed-powers", "two-keys"],
 )
-def test_pump_search_degenerate_grid_exits_4(tmp_path, capsys, settings):
+def test_pump_search_degenerate_grid_exits_4(tmp_path, capsys, settings, line):
+    # One line that names the config key at fault and its value, as device-temp does.
     doc = json.loads((CONFIGS / "pump_search.json").read_text())
     doc["search"].update(settings)
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps(doc))
     code = cli.main(["pump-search", "--config", str(cfg)])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert code == 4
-    assert len(err) == 1 and err[0].startswith("domain error: search bounds must be ordered")
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["domain error: " + line]
 
 
 def test_pump_search_failure_prints_strict_json(tmp_path, capsys):
@@ -684,6 +696,34 @@ def test_failed_pump_search_warns_in_a_fresh_process(tmp_path):
     proc = _fresh(["pump-search", "--config", str(_unreachable_target(tmp_path))])
     assert proc.returncode == 0
     assert proc.stderr == f"WARNING kipa_lab: {PUMP_SEARCH_FAILED}\n"
+
+
+# Searches at the edges of the search block, with the SHA-256 of the stdout and the stderr they
+# gave before the search stepped each ramp's band alone: targets that no point or every point
+# reaches, powers where every point self-oscillates, one power, and a resolution that no
+# refinement reaches (the search stops after 8, at 0.01 Hz).
+EXTREME_SEARCHES = {
+    "target-1e308": ("target_db", 1e308, "e1b6b1f42df69b1bc2cda504ae9d0b9cda8a58528c9185e39bacabf81620fd08", True),
+    "target--1e308": ("target_db", -1e308, "8e6a6cadfa041bb6b0b1d36fcccba371852d4fd57cc51640b748ae0b59e8094e", False),
+    "target-0": ("target_db", 0.0, "c94c1a45059c6a5d5414900d7dfff69963fcac361762ce954eb426b103327e7e", False),
+    "powers-300-400": ("p_bounds_dbm", [300.0, 400.0], "9aa330d8e5ca564621ab4d5d9819ca0c55cb37c62eaedbaf49e85de45de6677f", True),
+    "powers-60-60": ("p_bounds_dbm", [-60.0, -60.0], "54dbeb4d7f88bac716500d51dab2e741dfad87318522b218949dbe87fdf12f64", True),
+    "resolution-1e-300": ("refine_to_hz", 1e-300, "7c2a12274c45baaa3f8f804ffa3f6bcfee0fac25c0e94407a6ada903167b2d82", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_SEARCHES))
+def test_extreme_pump_search_keeps_its_bytes_in_a_fresh_process(tmp_path, case):
+    key, value, digest, fails = EXTREME_SEARCHES[case]
+    cfg = tmp_path / "pump_search.json"
+    cfg.write_text(_edited("pump_search.json", value, "search", key))
+    proc = _fresh(["pump-search", "--config", str(cfg)], PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == 0
+    assert proc.stderr == (f"WARNING kipa_lab: {PUMP_SEARCH_FAILED}\n" if fails else "")
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "cli_seed0.json").read_text())
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests were taken with numpy {golden['numpy']}, this is numpy {np.__version__}")
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
 
 
 def test_embedding_program_handler_receives_both_records(tmp_path, capsys):

@@ -302,24 +302,24 @@ def test_gain_curve_csv_round_trip(tmp_path):
 
 def test_find_optimal_pump_recovers_planted_optimum():
     f_r = 5.6735e9
-    evaluator = PumpMap(19.8e6, 0.0, f_r, xi_hz_per_sqrt_mw=2.2e9).peak_gain_db
-    res = find_optimal_pump(evaluator, 20.0, (2 * f_r - 2e7, 2 * f_r + 2e7), (-60.0, -40.0))
+    law = PumpMap(19.8e6, 0.0, f_r, xi_hz_per_sqrt_mw=2.2e9)
+    res = find_optimal_pump(law, 20.0, (2 * f_r - 2e7, 2 * f_r + 2e7), (-60.0, -40.0))
     assert res.success
     assert abs(res.f_pump_hz - 2 * f_r) <= 1e4
     assert res.gain_db >= 20.0
 
 
 def test_find_optimal_pump_zero_target_returns_minimal_power():
-    evaluator = PumpMap(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=2.2e9).peak_gain_db
-    res = find_optimal_pump(evaluator, 0.0, (1.1337e10, 1.1357e10), (-60.0, -40.0))
+    law = PumpMap(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=2.2e9)
+    res = find_optimal_pump(law, 0.0, (1.1337e10, 1.1357e10), (-60.0, -40.0))
     assert res.success
     assert res.p_pump_dbm == -60.0
 
 
 def test_find_optimal_pump_all_unstable_flags_self_oscillation():
     # Pump coupling so strong that even the lowest probed power self-oscillates.
-    evaluator = PumpMap(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=1e12).peak_gain_db
-    res = find_optimal_pump(evaluator, 20.0, (1.1337e10, 1.1357e10), (-60.0, -40.0))
+    law = PumpMap(19.8e6, 0.0, 5.6735e9, xi_hz_per_sqrt_mw=1e12)
+    res = find_optimal_pump(law, 20.0, (1.1337e10, 1.1357e10), (-60.0, -40.0))
     assert not res.success
     assert res.self_oscillation
 
@@ -396,10 +396,27 @@ def test_peak_gain_db_broadcasts_and_is_nan_without_steady_state():
     assert got[0, 0] == pytest.approx(20.0 * math.log10(1.0 / (1.0 - 0.81)), abs=1e-12)
 
 
+class GridLaw:
+    """A pump law given by its peak on the whole grid, ``peak_gain_db(f_col,
+    p_row)``, with first_stops read off that grid as a point-by-point ramp
+    meets them: the grid-wide scan of each level, in place of a PumpMap's
+    bands."""
+
+    def __init__(self, peak_gain_db):
+        self.peak_gain_db = peak_gain_db
+
+    def first_stops(self, f_pump_hz, p_pump_dbm, target_db):
+        g = self.peak_gain_db(f_pump_hz[:, None], p_pump_dbm[None, :])
+        stop = ~np.isfinite(g) | (g >= target_db)
+        first = np.where(stop.any(axis=1), stop.argmax(axis=1), p_pump_dbm.size)
+        peak = g[np.arange(first.size), np.minimum(first, p_pump_dbm.size - 1)]
+        return first, np.where(first < p_pump_dbm.size, peak, np.nan)
+
+
 def scalar_ramp_search(law, target_db, f_bounds, p_bounds, n_f_coarse=41, p_step_db=0.25, refine_to_hz=1e4):
     """Reference: the search as a point-by-point power ramp along every
-    frequency row of each level's grid; returns (f, p, gain, n_evaluations,
-    self_oscillation)."""
+    frequency row of each level's grid, read from ``law(f_col, p_row)``;
+    returns (f, p, gain, n_evaluations, self_oscillation)."""
     p_grid = np.arange(p_bounds[0], p_bounds[1] + 0.5 * p_step_db, p_step_db)
     n, osc, best = 0, False, (-math.inf, None, None)
 
@@ -463,9 +480,9 @@ def test_grid_search_matches_scalar_power_ramp(case, refine_to_hz):
     """refinement-cap: a resolution that 8 refinements of the 1 MHz coarse
     step cannot reach, so both searches stop at 0.01 Hz."""
     params, (target, f_bounds, p_bounds) = PUMP_CASES[case]
-    law = PumpMap(*params).peak_gain_db
+    law = PumpMap(*params)
     got = find_optimal_pump(law, target, f_bounds, p_bounds, refine_to_hz=refine_to_hz)
-    want = scalar_ramp_search(law, target, f_bounds, p_bounds, refine_to_hz=refine_to_hz)
+    want = scalar_ramp_search(law.peak_gain_db, target, f_bounds, p_bounds, refine_to_hz=refine_to_hz)
     assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
     assert got.success == (case not in ("all-unstable", "out-of-reach"))
     if got.gain_db is not None:
@@ -474,11 +491,11 @@ def test_grid_search_matches_scalar_power_ramp(case, refine_to_hz):
 
 def test_grid_search_counts_only_what_the_ramps_visit():
     # NaN at -50 dBm, then a higher gain that no ramp reaches.
-    def law(f, p, floor_db=-math.inf):
+    def law(f, p):
         g = np.where(p < -50.0, 10.0 + (p + 60.0) / 10.0, 15.0) + 0.0 * f
         return np.where(p == -50.0, np.nan, g)
 
-    got = find_optimal_pump(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=5)
+    got = find_optimal_pump(GridLaw(law), 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=5)
     assert not got.success and got.self_oscillation
     assert got.n_evaluations == 5 * 41
     assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db) == (1.0e10, -50.25, pytest.approx(10.975))
@@ -500,12 +517,8 @@ TIE_LAWS = {
 
 @pytest.mark.parametrize("case", sorted(TIE_LAWS))
 def test_grid_search_orders_candidates_by_power_then_gain_then_frequency(case):
-    rows, (f_want, p_want, g_want) = TIE_LAWS[case]
-
-    def law(f, p, floor_db=-math.inf):
-        return rows(f, p)
-
-    got = find_optimal_pump(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=11, refine_to_hz=1e6)
+    law, (f_want, p_want, g_want) = TIE_LAWS[case]
+    got = find_optimal_pump(GridLaw(law), 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=11, refine_to_hz=1e6)
     want = scalar_ramp_search(law, 20.0, (1.0e10, 1.1e10), (-60.0, -40.0), n_f_coarse=11, refine_to_hz=1e6)
     assert (got.f_pump_hz, got.p_pump_dbm, got.gain_db, got.n_evaluations, got.self_oscillation) == want
     assert got.success and got.message == "refined to 1e+06 Hz frequency resolution"
